@@ -35,7 +35,7 @@ def main():
 
     vertices = extreme_states(l12)
     print(f"\n{len(vertices)} extreme states (atom values):")
-    atoms = [l12.names[a] for a in l12.lattice.atoms]
+    atoms = [l12.names[a] for a in l12.atoms]
     print("  " + "  ".join(f"{a:>3}" for a in atoms))
     for v in vertices:
         print("  " + "  ".join(f"{str(v.value(a)):>3}" for a in atoms))

@@ -17,12 +17,14 @@ from .core import (
     CapExceeded,
     ComplementLawFails,
     Lattice,
+    NotALattice,
     NotInvolutive,
     NotOrderReversing,
     NotOrthomodular,
     OrthoLattice,
     Poset,
     attach_ortho,
+    extremal,
     lattice_check,
 )
 
@@ -71,7 +73,7 @@ def check_modular(lattice: Lattice) -> Witness | None:
 def check_orthomodular(ortho: OrthoLattice) -> Witness | None:
     """Scan all pairs x <= b for x v (neg(x) ^ b) = b."""
     n = ortho.n
-    M, J = ortho.lattice.meet_table, ortho.lattice.join_table
+    M, J = ortho.meet_table, ortho.join_table
     leq = ortho.poset.leq
     narr = np.array(ortho.neg)
     for x in range(n):
@@ -87,30 +89,26 @@ def _orthomodular_witness(ortho: OrthoLattice) -> Witness | None:
     return check_orthomodular(ortho)
 
 
+def require_orthomodular(ortho: OrthoLattice) -> None:
+    """Raise NotOrthomodular, naming the witness elements, unless the
+    orthomodular law holds."""
+    witness = _orthomodular_witness(ortho)
+    if witness is not None:
+        raise NotOrthomodular(tuple(ortho.names[e] for e in witness.elements))
+
+
 def compatibility_matrix(ortho: OrthoLattice) -> np.ndarray:
     """C[a, b] true when a = (a^b) v (a^neg(b))."""
-    M, J = ortho.lattice.meet_table, ortho.lattice.join_table
+    M, J = ortho.meet_table, ortho.join_table
     narr = np.array(ortho.neg)
     recon = J[M, M[:, narr]]               # recon[a, b] = (a^b) v (a^neg(b))
     return recon == np.arange(ortho.n)[:, None]
 
 
-def compatible(ortho: OrthoLattice, a: int, b: int) -> bool:
-    """Whether a and b live in a common Boolean block; requires an
-    orthomodular lattice, where the relation is symmetric."""
-    witness = _orthomodular_witness(ortho)
-    if witness is not None:
-        raise NotOrthomodular(tuple(ortho.names[e] for e in witness.elements))
-    m = ortho.lattice.meet
-    return ortho.join(m(a, b), m(a, ortho.neg[b])) == a
-
-
 def maximal_blocks(ortho: OrthoLattice, cap: int = 64) -> tuple[tuple[int, ...], ...]:
     """Maximal Boolean sublattices, greedily grown from every element and
     closed under meet, join and negation.  Canonical sorted order."""
-    witness = _orthomodular_witness(ortho)
-    if witness is not None:
-        raise NotOrthomodular(tuple(ortho.names[e] for e in witness.elements))
+    require_orthomodular(ortho)
     C = compatibility_matrix(ortho)
     n = ortho.n
     blocks: set[frozenset[int]] = set()
@@ -148,25 +146,6 @@ def maximal_blocks(ortho: OrthoLattice, cap: int = 64) -> tuple[tuple[int, ...],
     return tuple(ordered)
 
 
-def _poset_meet(poset: Poset, a: int, b: int) -> int | None:
-    lowers = poset.down[a] & poset.down[b]
-    maximal = [m for m in _bits(lowers) if poset.up[m] & lowers == 1 << m]
-    return maximal[0] if len(maximal) == 1 else None
-
-
-def _poset_join(poset: Poset, a: int, b: int) -> int | None:
-    uppers = poset.up[a] & poset.up[b]
-    minimal = [m for m in _bits(uppers) if poset.down[m] & uppers == 1 << m]
-    return minimal[0] if len(minimal) == 1 else None
-
-
-def _bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
     """Verify the orthomodular-poset axioms on anything with .poset/.neg:
     joins of pairwise-orthogonal families exist (families up to
@@ -191,8 +170,7 @@ def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
             uppers = poset.up[family[0]]
             for e in family[1:]:
                 uppers &= poset.up[e]
-            minimal = [m for m in _bits(uppers) if poset.down[m] & uppers == 1 << m]
-            if len(minimal) != 1:
+            if len(extremal(uppers, poset.down)) != 1:
                 bad_family = list(family)
                 return
         if len(family) == family_cap:
@@ -213,11 +191,9 @@ def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
         for b in range(n):
             if not poset.leq[x, b] or x == b:
                 continue
-            m = _poset_meet(poset, neg[x], b)
-            if m is None:
-                return Witness("orthomodular", (x, b))
-            j = _poset_join(poset, x, m)
-            if j != b:
+            # x v (neg(x) ^ b) = b, each bound unique
+            m = extremal(poset.down[neg[x]] & poset.down[b], poset.up)
+            if len(m) != 1 or extremal(poset.up[x] & poset.up[m[0]], poset.down) != [b]:
                 return Witness("orthomodular", (x, b))
     return None
 
@@ -246,12 +222,9 @@ class ClassificationReport:
         return tuple(self.names[e] for e in self.witnesses[law].elements)
 
 
-def classify(obj: Lattice | OrthoLattice) -> ClassificationReport:
-    """Run the full axiom ladder on a built lattice."""
-    if isinstance(obj, OrthoLattice):
-        lattice, ortho = obj.lattice, obj
-    else:
-        lattice, ortho = obj, None
+def classify(lattice: Lattice) -> ClassificationReport:
+    """Run the full axiom ladder on a built lattice or ortholattice."""
+    ortho = lattice if isinstance(lattice, OrthoLattice) else None
 
     witnesses: dict[str, Witness] = {}
     w_dist = check_distributive(lattice)
@@ -292,7 +265,7 @@ def classify_poset(poset: Poset, neg_pairs=None) -> ClassificationReport:
     negation fails an axiom."""
     try:
         lattice = lattice_check(poset)
-    except Exception as exc:  # NotALattice carries its own witnesses
+    except NotALattice as exc:
         return ClassificationReport(
             names=poset.names,
             is_lattice=False,
@@ -303,7 +276,7 @@ def classify_poset(poset: Poset, neg_pairs=None) -> ClassificationReport:
             is_boolean=None,
             is_atomic=None,
             is_atomistic=None,
-            witnesses={"lattice": Witness("lattice", tuple(poset.index[w] for w in getattr(exc, "witnesses", ())))},
+            witnesses={"lattice": Witness("lattice", tuple(poset.index[w] for w in exc.witnesses))},
             blocks=None,
         )
     if neg_pairs:

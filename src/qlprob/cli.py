@@ -110,7 +110,7 @@ def cmd_states(args) -> int:
     payload = {"source": name, "mode": args.mode}
     if args.mode == "relations":
         relations = states.implied_affine_relations(obj)
-        payload["atoms"] = [obj.names[a] for a in obj.lattice.atoms]
+        payload["atoms"] = [obj.names[a] for a in obj.atoms]
         payload["relations"] = [
             {
                 "display": rel.display(),

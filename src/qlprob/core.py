@@ -4,7 +4,9 @@ Elements are integer indices into a fixed name table.  Structures are
 built from covering relations (Hasse form); the full order is the
 reflexive-transitive closure.  Meets and joins are found by brute-force
 bound search at construction time and memoised in dense tables, so every
-later law check is a table lookup.  All types are immutable once built.
+later law check is a table lookup.  The types form one chain: a Lattice
+is built on a Poset, and an OrthoLattice is a Lattice with a verified
+negation.  All types are immutable once built.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def _bits(mask: int):
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+def extremal(mask: int, cone: Sequence[int]) -> list[int]:
+    """Members m of the bitmask whose cone meets it only in m: the
+    maximal members when cone is Poset.up, the minimal ones when it is
+    Poset.down."""
+    return [m for m in _bits(mask) if cone[m] & mask == 1 << m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,30 +311,22 @@ def lattice_check(poset: Poset) -> Lattice:
     Raises NotALattice at the first failing pair in index order, carrying
     the incomparable bound set as witnesses.
     """
-    n = poset.n
+    n, names = poset.n, poset.names
     down, up = poset.down, poset.up
     meet_t = np.zeros((n, n), dtype=np.int32)
     join_t = np.zeros((n, n), dtype=np.int32)
     for a in range(n):
+        meets, joins = [], []
         for b in range(a, n):
-            lowers = down[a] & down[b]
-            maximal = [m for m in _bits(lowers) if up[m] & lowers == 1 << m]
-            if len(maximal) != 1:
-                raise NotALattice(
-                    (poset.names[a], poset.names[b]),
-                    [poset.names[m] for m in maximal],
-                    "meet",
-                )
-            meet_t[a, b] = meet_t[b, a] = maximal[0]
-            uppers = up[a] & up[b]
-            minimal = [m for m in _bits(uppers) if down[m] & uppers == 1 << m]
-            if len(minimal) != 1:
-                raise NotALattice(
-                    (poset.names[a], poset.names[b]),
-                    [poset.names[m] for m in minimal],
-                    "join",
-                )
-            join_t[a, b] = join_t[b, a] = minimal[0]
+            maximal = extremal(down[a] & down[b], up)
+            minimal = extremal(up[a] & up[b], down)
+            if len(maximal) != 1 or len(minimal) != 1:
+                kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
+                raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
+            meets.append(maximal[0])
+            joins.append(minimal[0])
+        meet_t[a, a:] = meet_t[a:, a] = meets
+        join_t[a, a:] = join_t[a:, a] = joins
     return Lattice(poset=poset, meet_table=meet_t, join_table=join_t)
 
 
@@ -336,48 +337,10 @@ def _resolve(poset: Poset, token) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class OrthoLattice:
+class OrthoLattice(Lattice):
     """A lattice with a verified orthocomplementation."""
 
-    lattice: Lattice
     neg: tuple[int, ...]
-
-    @property
-    def poset(self) -> Poset:
-        return self.lattice.poset
-
-    @property
-    def n(self) -> int:
-        return self.lattice.n
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.lattice.names
-
-    @property
-    def index(self) -> dict[str, int]:
-        return self.lattice.index
-
-    @property
-    def bottom(self) -> int:
-        return self.lattice.bottom
-
-    @property
-    def top(self) -> int:
-        return self.lattice.top
-
-    @property
-    def atoms(self) -> tuple[int, ...]:
-        return self.lattice.atoms
-
-    def le(self, a: int, b: int) -> bool:
-        return self.lattice.le(a, b)
-
-    def meet(self, a: int, b: int) -> int:
-        return self.lattice.meet(a, b)
-
-    def join(self, a: int, b: int) -> int:
-        return self.lattice.join(a, b)
 
     def orthogonal(self, a: int, b: int) -> bool:
         """a is orthogonal to b when a <= neg(b)."""
@@ -425,6 +388,14 @@ def _build_negation(poset: Poset, neg_pairs) -> tuple[int, ...]:
     if fixed:
         # A fixed point a = neg(a) forces a v neg(a) = a < top.
         raise ComplementLawFails([(name, "fixed point of negation") for name in fixed])
+    # involution holds by the symmetric reading; contradictions were caught above
+    narr = np.array(neg)
+    viol = poset.leq & ~poset.leq[np.ix_(narr, narr)].T
+    if viol.any():
+        witnesses = [
+            (poset.names[int(a)], poset.names[int(b)]) for a, b in np.argwhere(viol)
+        ]
+        raise NotOrderReversing(witnesses)
     return tuple(neg)
 
 
@@ -436,45 +407,26 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
     NotInvolutive, NotOrderReversing or ComplementLawFails with every
     violating instance of the first failing axiom.
     """
-    poset = lattice.poset
-    neg = _build_negation(poset, neg_pairs)
-    narr = np.array(neg)
-
-    # involution holds by the symmetric reading; contradictions were caught above
-
-    reversed_ok = poset.leq[np.ix_(narr, narr)].T
-    viol = poset.leq & ~reversed_ok
-    if viol.any():
-        witnesses = [
-            (poset.names[int(a)], poset.names[int(b)]) for a, b in np.argwhere(viol)
-        ]
-        raise NotOrderReversing(witnesses)
-
-    idx = np.arange(lattice.n)
+    neg = _build_negation(lattice.poset, neg_pairs)
+    idx, narr = np.arange(lattice.n), np.array(neg)
     bad_join = np.flatnonzero(lattice.join_table[idx, narr] != lattice.top)
     bad_meet = np.flatnonzero(lattice.meet_table[idx, narr] != lattice.bottom)
     if len(bad_join) or len(bad_meet):
-        witnesses = [(poset.names[int(a)], "a v neg(a) != top") for a in bad_join]
-        witnesses += [(poset.names[int(a)], "a ^ neg(a) != bottom") for a in bad_meet]
+        witnesses = [(lattice.names[int(a)], "a v neg(a) != top") for a in bad_join]
+        witnesses += [(lattice.names[int(a)], "a ^ neg(a) != bottom") for a in bad_meet]
         raise ComplementLawFails(witnesses)
-
-    return OrthoLattice(lattice=lattice, neg=neg)
+    return OrthoLattice(
+        poset=lattice.poset,
+        meet_table=lattice.meet_table,
+        join_table=lattice.join_table,
+        neg=neg,
+    )
 
 
 def attach_ortho_poset(poset: Poset, neg_pairs: Iterable[tuple]) -> OrthoPoset:
     """Attach a negation to a bare poset, verifying the orthocomplementation
     axioms with bound-set checks in place of lattice tables."""
     neg = _build_negation(poset, neg_pairs)
-    narr = np.array(neg)
-
-    reversed_ok = poset.leq[np.ix_(narr, narr)].T
-    viol = poset.leq & ~reversed_ok
-    if viol.any():
-        witnesses = [
-            (poset.names[int(a)], poset.names[int(b)]) for a, b in np.argwhere(viol)
-        ]
-        raise NotOrderReversing(witnesses)
-
     down, up = poset.down, poset.up
     witnesses = []
     for a in range(poset.n):

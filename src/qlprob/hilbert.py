@@ -270,18 +270,11 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     for i, a in enumerate(ordered):
         for j, b in enumerate(ordered):
             leq[i, j] = b.contains(a)
-    covers = []
-    for i in range(len(ordered)):
-        for j in range(len(ordered)):
-            if i == j or not leq[i, j]:
-                continue
-            between = any(
-                leq[i, k] and leq[k, j] and k != i and k != j
-                for k in range(len(ordered))
-            )
-            if not between:
-                covers.append((names[i], names[j]))
-    poset = build_poset(names, covers, bottom="0", top="1")
+    # every strict inclusion; the closure adds a pair only where
+    # inclusion fails to be transitive
+    strict = leq & ~np.eye(len(ordered), dtype=bool)
+    poset = build_poset(names, [(names[i], names[j]) for i, j in np.argwhere(strict)],
+                        bottom="0", top="1")
     if not np.array_equal(poset.leq, leq):
         raise NumericalBreakdown("subspace inclusion order is not transitive")
     lattice = lattice_check(poset)

@@ -186,7 +186,7 @@ def serialize_lattice(doc: LatticeDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def lattice_from_document(doc: LatticeDocument) -> Lattice | OrthoLattice:
+def lattice_from_document(doc: LatticeDocument) -> Lattice:
     """Build and fully verify the structure a document describes."""
     poset = build_poset(doc.elements, doc.covers, bottom=doc.bottom, top=doc.top)
     lattice = lattice_check(poset)
@@ -195,19 +195,13 @@ def lattice_from_document(doc: LatticeDocument) -> Lattice | OrthoLattice:
     return lattice
 
 
-def document_from_lattice(obj: Lattice | OrthoLattice, name: str) -> LatticeDocument:
-    """Extract the canonical document of a built lattice."""
-    if isinstance(obj, OrthoLattice):
-        lattice, neg = obj.lattice, obj.neg
-    else:
-        lattice, neg = obj, None
+def document_from_lattice(lattice: Lattice, name: str) -> LatticeDocument:
+    """Extract the canonical document of a built lattice or ortholattice."""
     names = lattice.names
     covers = tuple((names[a], names[b]) for a, b in lattice.poset.covers)
     pairs = ()
-    if neg is not None:
-        pairs = tuple(
-            (names[i], names[neg[i]]) for i in range(lattice.n) if i < neg[i]
-        )
+    if isinstance(lattice, OrthoLattice):
+        pairs = tuple((names[i], names[j]) for i, j in enumerate(lattice.neg) if i < j)
     return LatticeDocument(
         name=name,
         elements=names,
@@ -306,9 +300,8 @@ def emit_report(payload: dict) -> str:
     return json.dumps(body, indent=2, allow_nan=False)
 
 
-def to_dot(obj: Lattice | OrthoLattice, name: str = "lattice") -> str:
+def to_dot(lattice: Lattice, name: str = "lattice") -> str:
     """Graphviz text of the Hasse diagram, edges upward."""
-    lattice = obj.lattice if isinstance(obj, OrthoLattice) else obj
     out = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=plaintext];']
     for el in lattice.names:
         out.append(f'  "{el}";')

@@ -20,8 +20,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from .core import CapExceeded, OrthoLattice
-from .classify import _orthomodular_witness
-from .core import NotOrthomodular
+from .classify import require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -126,17 +125,11 @@ def _normalize(coeffs: list[Fraction], rhs: Fraction):
     return tuple(Fraction(c) for c in ints[:-1]), Fraction(ints[-1])
 
 
-def _require_orthomodular(ortho: OrthoLattice):
-    witness = _orthomodular_witness(ortho)
-    if witness is not None:
-        raise NotOrthomodular(witness)
-
-
 def build_state_system(ortho: OrthoLattice) -> StateSystem:
     """Equality rows for the state polytope, deduplicated and in a
     fixed order: bottom, top, then one additivity row per orthogonal
     pair taken in index order."""
-    _require_orthomodular(ortho)
+    require_orthomodular(ortho)
     n = ortho.n
     zero = Fraction(0)
     rows: list[Row] = []
@@ -151,10 +144,10 @@ def build_state_system(ortho: OrthoLattice) -> StateSystem:
 
     base = [zero] * n
     coeffs = base.copy()
-    coeffs[ortho.lattice.bottom] = Fraction(1)
+    coeffs[ortho.bottom] = Fraction(1)
     push(coeffs, zero, "bottom")
     coeffs = base.copy()
-    coeffs[ortho.lattice.top] = Fraction(1)
+    coeffs[ortho.top] = Fraction(1)
     push(coeffs, Fraction(1), "top")
     for a in range(n):
         for b in range(a + 1, n):
@@ -188,9 +181,9 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
         res = row.residual(values)
         if abs(res) > tolerance:
             if row.label == "bottom":
-                kind, names = "bottom", (ortho.names[ortho.lattice.bottom],)
+                kind, names = "bottom", (ortho.names[ortho.bottom],)
             elif row.label == "top":
-                kind, names = "top", (ortho.names[ortho.lattice.top],)
+                kind, names = "top", (ortho.names[ortho.top],)
             else:
                 kind, names = "additivity", tuple(row.label.split()[1:])
             violations.append(Violation(kind, names, res))
@@ -476,7 +469,7 @@ def implied_affine_relations(ortho: OrthoLattice) -> list[AffineRelation]:
     positive."""
     system = build_state_system(ortho)
     n = ortho.n
-    atoms = list(ortho.lattice.atoms)
+    atoms = list(ortho.atoms)
     atom_set = set(atoms)
     non_atoms = [c for c in range(n) if c not in atom_set]
     # homogeneous rows over (elements..., const)

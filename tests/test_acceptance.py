@@ -84,7 +84,7 @@ def test_criterion_2_kolmogorov_recovery():
             vertices = extreme_states(ps)
             assert len(vertices) == n
             expected = set()
-            for atom in ps.lattice.atoms:
+            for atom in ps.atoms:
                 expected.add(tuple(
                     F(1) if ps.le(atom, e) else F(0) for e in range(ps.n)))
             assert {v.values for v in vertices} == expected

@@ -10,7 +10,7 @@ from qlprob.core import CapExceeded, OrthoLattice
 def test_powerset_shape(n):
     ps = builders.powerset(n)
     assert ps.n == 2 ** n
-    assert len(ps.lattice.atoms) == n
+    assert len(ps.atoms) == n
 
 
 def test_powerset_is_set_algebra():
@@ -33,7 +33,7 @@ def test_firefly_shape(l12):
     assert isinstance(l12, OrthoLattice)
     assert l12.n == 12
     idx = l12.index
-    atoms = {l12.names[a] for a in l12.lattice.atoms}
+    atoms = {l12.names[a] for a in l12.atoms}
     assert atoms == {"l", "r", "f", "b", "n"}
     # the two observation contexts overlap exactly in {0, n, ~n, 1}
     assert l12.join(idx["l"], idx["r"]) == idx["~n"]
@@ -55,7 +55,7 @@ def test_firefly_complement_involution(l12):
 def test_mo_shape(n):
     lattice = builders.mo(n)
     assert lattice.n == 2 * n + 2
-    atoms = lattice.lattice.atoms
+    atoms = lattice.atoms
     assert len(atoms) == 2 * n
     for a, b in combinations(atoms, 2):
         assert lattice.meet(a, b) == lattice.bottom

@@ -74,8 +74,8 @@ def test_o6_ladder(o6):
 
 
 def test_modular_but_not_distributive_exists(l12):
-    assert check_modular(l12.lattice) is None
-    assert check_distributive(l12.lattice) is not None
+    assert check_modular(l12) is None
+    assert check_distributive(l12) is not None
 
 
 def test_distributive_implies_modular_on_menagerie():

@@ -70,6 +70,9 @@ def test_states_find_uniform(capsys):
 def test_states_on_non_orthomodular_source(capsys):
     code, doc = run(capsys, "states", "o6", "find")
     assert code == 2
+    assert doc["kind"] == "NotOrthomodular"
+    assert "'a'" in doc["error"] and "'b'" in doc["error"]
+    assert "Witness(" not in doc["error"]
 
 
 def test_check_passes(capsys):

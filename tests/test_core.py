@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from qlprob import builders
 from qlprob.core import (
     CapExceeded,
     ComplementLawFails,
     CycleDetected,
     DuplicateElement,
+    Lattice,
     MAX_ELEMENTS,
     NotALattice,
     NotBounded,
@@ -104,7 +106,7 @@ def test_bowtie_is_not_a_lattice():
 
 
 def test_meet_join_tables_agree_with_order(p3):
-    lattice = p3.lattice
+    lattice = p3
     n = lattice.n
     leq = lattice.poset.leq
     for a in range(n):
@@ -116,11 +118,16 @@ def test_meet_join_tables_agree_with_order(p3):
 
 
 def test_atomic_and_atomistic_flags(p3, l12):
-    assert p3.lattice.is_atomic and p3.lattice.is_atomistic
-    assert l12.lattice.is_atomic and l12.lattice.is_atomistic
+    assert p3.is_atomic() and p3.is_atomistic()
+    assert l12.is_atomic() and l12.is_atomistic()
+    # the pentagon 0 < a < b < 1, 0 < c < 1: b dominates the atom a but
+    # is not the join of the atoms below it
+    n5 = builders.n5()
+    assert n5.is_atomic() and not n5.is_atomistic()
 
 
 def test_ortho_delegation_and_orthogonality(l12):
+    assert isinstance(l12, Lattice)
     idx = l12.index
     assert l12.n == 12
     assert l12.neg[idx["l"]] == idx["~l"]
@@ -157,12 +164,12 @@ def test_negation_fixed_point_rejected():
 def test_complement_law_enforced():
     # chain of length 3: pairing m with itself fails meet/join laws
     lattice = lattice_check(build_poset(("0", "m", "1"), CHAIN3))
-    with pytest.raises((ComplementLawFails, NotOrderReversing, ValueError)):
+    with pytest.raises(ComplementLawFails):
         attach_ortho(lattice, [("0", "1"), ("m", "m")])
 
 
 def test_order_reversal_enforced():
-    # 2x2 grid with a deliberately wrong pairing: swap only one pair
+    # 2x2 grid: swapping the two atoms is a valid orthocomplement
     poset = build_poset(
         ("0", "a", "b", "1"),
         (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")),
@@ -170,6 +177,23 @@ def test_order_reversal_enforced():
     lattice = lattice_check(poset)
     ortho = attach_ortho(lattice, [("0", "1"), ("a", "b")])
     assert ortho.neg[ortho.index["a"]] == ortho.index["b"]
+
+
+@pytest.mark.parametrize(
+    "attach",
+    [lambda p, pairs: attach_ortho(lattice_check(p), pairs), attach_ortho_poset],
+    ids=["lattice", "poset"],
+)
+def test_order_reversal_violation_raises(attach):
+    # 2x2 grid paired 0 <-> a and b <-> 1: an involution without fixed
+    # points that does not reverse the order
+    poset = build_poset(
+        ("0", "a", "b", "1"),
+        (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")),
+    )
+    with pytest.raises(NotOrderReversing) as err:
+        attach(poset, [("0", "a"), ("b", "1")])
+    assert list(err.value.witnesses) == [("0", "b"), ("0", "1"), ("a", "1")]
 
 
 # ten elements: {a, b} is pairwise orthogonal yet has two minimal upper
@@ -197,9 +221,9 @@ def test_ortho_poset_without_joins():
 
 def test_poset_leq_matrix_immutable(p3):
     with pytest.raises((ValueError, RuntimeError)):
-        p3.lattice.poset.leq[0, 0] = False
+        p3.poset.leq[0, 0] = False
 
 
 def test_lattice_tables_immutable(p3):
     with pytest.raises((ValueError, RuntimeError)):
-        p3.lattice.meet_table[0, 0] = 5
+        p3.meet_table[0, 0] = 5

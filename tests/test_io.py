@@ -39,7 +39,7 @@ def test_shipped_l12_matches_builder(l12):
     parsed = lattice_from_document(doc)
     assert parsed.names == l12.names
     assert parsed.neg == l12.neg
-    assert (parsed.lattice.meet_table == l12.lattice.meet_table).all()
+    assert (parsed.meet_table == l12.meet_table).all()
 
 
 def test_parse_reports_line_numbers():
@@ -136,7 +136,7 @@ def test_emit_rejects_nan():
 def test_dot_output(p3):
     dot = to_dot(p3, "p3")
     assert dot.startswith('digraph "p3"')
-    assert dot.count("->") == len(p3.lattice.poset.covers)
+    assert dot.count("->") == len(p3.poset.covers)
 
 
 name_strategy = st.text(

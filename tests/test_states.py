@@ -122,7 +122,7 @@ def test_powerset_extremes_are_point_masses(n):
     assert len(vertices) == n
     seen = set()
     for v in vertices:
-        mass = [a for a in ps.lattice.atoms if v.values[a] == 1]
+        mass = [a for a in ps.atoms if v.values[a] == 1]
         assert len(mass) == 1
         seen.add(mass[0])
         # every other element is the indicator of containing that atom
@@ -130,7 +130,7 @@ def test_powerset_extremes_are_point_masses(n):
         for e in range(ps.n):
             expected = F(1) if ps.le(atom, e) else F(0)
             assert v.values[e] == expected
-    assert seen == set(ps.lattice.atoms)
+    assert seen == set(ps.atoms)
 
 
 def test_mo2_has_four_extremes(mo2):
@@ -148,7 +148,7 @@ def test_extreme_cap_carries_partial(l12):
 
 def test_find_state_uniform_on_powerset(p3):
     state = find_state(p3)
-    for a in p3.lattice.atoms:
+    for a in p3.atoms:
         assert state.values[a] == F(1, 3)
     assert is_state(p3, state).passed
 
