@@ -84,7 +84,7 @@ def check_orthomodular(ortho: OrthoLattice) -> Witness | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _orthomodular_witness(ortho: OrthoLattice) -> Witness | None:
     return check_orthomodular(ortho)
 

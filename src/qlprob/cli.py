@@ -390,6 +390,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, not {args.cap}")
         return args.run(args)
     except (ParseError, SourceError, states.DomainMismatch,
             hilbert.DimensionMismatch, json.JSONDecodeError, OSError,

@@ -7,6 +7,11 @@ constraint system, verifies candidate valuations, finds feasible points,
 enumerates polytope vertices, and extracts the affine relations the
 constraints force between atom values.
 
+One elimination serves both relations and vertices: the state system is
+reduced once, columns ordered (non-atoms, atoms, constant), so every
+element becomes an affine form over free atom values, and the rows that
+pivot on atoms are the relations between atoms.
+
 All polytope work is exact: coefficients are Fractions throughout, and
 equality claims in reports mean equality of rationals, not closeness.
 """
@@ -236,32 +241,38 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
     return x
 
 
-def _reduced_system(ortho: OrthoLattice):
-    """RREF the equality system over element columns.  Returns
-    (expressions, free column list) where expressions[i] is the affine
-    form (constant, coeffs over free columns) of element i on the
-    solution space."""
+def _eliminate(ortho: OrthoLattice):
+    """The one RREF of the state system, columns ordered (non-atoms,
+    atoms, constant).  Finite OMLs are atomistic, so every non-atom is
+    a pivot and the free columns are atoms.  Returns (exprs, relation
+    rows): exprs[i] is the affine form (constant, coeffs over the free
+    columns) of element i on the solution space; each relation row is
+    [constant, atom coeffs...] of one atom-pivot row, homogeneous."""
     system = build_state_system(ortho)
     n = ortho.n
-    rows = [list(r.coeffs) + [r.rhs] for r in system.rows]
-    reduced, pivots = _rref(rows, n)
-    for row in reduced:
-        if not any(row[:n]) and row[n]:
-            raise Infeasible("equality system is inconsistent")
-    free = [c for c in range(n) if c not in pivots]
-    index_of_free = {c: j for j, c in enumerate(free)}
+    atoms = list(ortho.atoms)
+    atom_set = set(atoms)
+    order = [c for c in range(n) if c not in atom_set] + atoms
+    reduced, pivots = _rref(
+        [list(r.coeffs) + [-r.rhs] for r in system.rows], n + 1, order + [n]
+    )
+    if n in pivots:
+        raise Infeasible("equality system is inconsistent")
+    pivot_row = dict(zip(pivots, reduced))
+    free = [c for c in order if c not in pivot_row]
     exprs = []
-    pivot_row = {col: row for row, col in zip(reduced, pivots)}
     for i in range(n):
-        if i in index_of_free:
-            coeffs = [Fraction(0)] * len(free)
-            coeffs[index_of_free[i]] = Fraction(1)
-            exprs.append((Fraction(0), tuple(coeffs)))
-        else:
+        if i in pivot_row:
             row = pivot_row[i]
-            coeffs = [-row[c] for c in free]
-            exprs.append((row[n], tuple(coeffs)))
-    return exprs, free
+            exprs.append((-row[n], tuple(-row[c] for c in free)))
+        else:
+            exprs.append((Fraction(0), tuple(Fraction(int(c == i)) for c in free)))
+    relations = [
+        [row[n]] + [row[a] for a in atoms]
+        for col, row in pivot_row.items()
+        if col in atom_set
+    ]
+    return exprs, relations
 
 
 def _evaluate(expr, point):
@@ -275,8 +286,8 @@ def extreme_states(ortho: OrthoLattice, cap: int = 1024) -> list[Valuation]:
     Enumerates solutions of square subsystems of tight box constraints
     in the reduced free-variable space; exact and exhaustive for the
     lattice sizes this library targets."""
-    exprs, free = _reduced_system(ortho)
-    d = len(free)
+    exprs, _ = _eliminate(ortho)
+    d = len(exprs[0][1])
     if d == 0:
         values = tuple(e[0] for e in exprs)
         if any(v < 0 or v > 1 for v in values):
@@ -323,22 +334,21 @@ def find_state(ortho: OrthoLattice) -> Valuation:
     try:
         vertices = extreme_states(ortho, cap=256)
     except CapExceeded:
-        return _simplex_state(ortho)
+        rows = [(r.coeffs, r.rhs, r.label) for r in build_state_system(ortho).rows]
+        return Valuation(ortho, tuple(solve_in_unit_box(rows, ortho.n)))
+    return _mix(ortho, vertices, [1] * len(vertices))
+
+
+def _mix(ortho: OrthoLattice, vertices, weights) -> Valuation:
+    """The convex combination of vertices with nonnegative integer
+    weights of positive sum."""
     if not vertices:
         raise Infeasible("state polytope is empty")
-    k = Fraction(1, len(vertices))
-    values = tuple(
-        sum((v.values[i] for v in vertices), Fraction(0)) * k
+    total = sum(weights)
+    return Valuation(ortho, tuple(
+        sum((w * v.values[i] for w, v in zip(weights, vertices)), Fraction(0)) / total
         for i in range(ortho.n)
-    )
-    return Valuation(ortho, values)
-
-
-def _simplex_state(ortho: OrthoLattice) -> Valuation:
-    system = build_state_system(ortho)
-    rows = [(list(r.coeffs), r.rhs, r.label) for r in system.rows]
-    solution = solve_in_unit_box(rows, ortho.n)
-    return Valuation(ortho, tuple(solution))
+    ))
 
 
 def solve_in_unit_box(rows, n: int) -> list[Fraction]:
@@ -467,40 +477,10 @@ def implied_affine_relations(ortho: OrthoLattice) -> list[AffineRelation]:
     rows are reduced again with the constant column leading, scaled to
     coprime integers, and oriented so the first atom coefficient is
     positive."""
-    system = build_state_system(ortho)
-    n = ortho.n
-    atoms = list(ortho.atoms)
-    atom_set = set(atoms)
-    non_atoms = [c for c in range(n) if c not in atom_set]
-    # homogeneous rows over (elements..., const)
-    rows = [list(r.coeffs) + [-r.rhs] for r in system.rows]
-    order = non_atoms + atoms + [n]
-    reduced, pivots = _rref(rows, n + 1, order)
-    position = {c: i for i, c in enumerate(order)}
-    cut = len(non_atoms)
-    kept = []
-    for row, col in zip(reduced, pivots):
-        if position[col] < cut:
-            continue
-        if col == n:
-            raise Infeasible("equality system is inconsistent")
-        kept.append([row[n]] + [row[a] for a in atoms])
-    if not kept:
-        return []
-    reduced, _ = _rref(kept, len(atoms) + 1)
-    out = []
-    for row in reduced:
-        if not any(row[1:]):
-            raise Infeasible("equality system is inconsistent")
-        coeffs, rhs = _normalize(row[1:], -row[0])
-        out.append(
-            AffineRelation(
-                atoms=tuple(ortho.names[a] for a in atoms),
-                coeffs=coeffs,
-                rhs=rhs,
-            )
-        )
-    return out
+    _, rows = _eliminate(ortho)
+    atoms = tuple(ortho.names[a] for a in ortho.atoms)
+    reduced, _ = _rref(rows, len(atoms) + 1)
+    return [AffineRelation(atoms, *_normalize(row[1:], -row[0])) for row in reduced]
 
 
 # -- classicality scans ------------------------------------------------------
@@ -570,19 +550,7 @@ def sample_states(ortho: OrthoLattice, count: int, seed: int = 0) -> list[Valuat
     out = []
     for _ in range(count):
         weights = [rng.randrange(1_000_000) for _ in vertices]
-        total = sum(weights)
-        if total == 0:
-            weights = [1] * len(vertices)
-            total = len(vertices)
-        mix = [Fraction(w, total) for w in weights]
-        values = tuple(
-            sum(
-                (w * v.values[i] for w, v in zip(mix, vertices)),
-                Fraction(0),
-            )
-            for i in range(ortho.n)
-        )
-        out.append(Valuation(ortho, values))
+        out.append(_mix(ortho, vertices, weights if any(weights) else [1] * len(vertices)))
     return out
 
 

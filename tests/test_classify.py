@@ -171,3 +171,20 @@ def test_mo_n_orthomodular_never_distributive(n):
     assert report.is_orthomodular
     assert not report.is_distributive
     assert len(report.blocks) == n
+
+
+def test_orthomodular_cache_releases_lattices():
+    """The orthomodular-law cache keeps at most the latest lattice, so a
+    lattice asked about earlier can be freed."""
+    import gc
+    import weakref
+
+    from qlprob.states import build_state_system
+
+    first = builders.powerset(4)
+    ref = weakref.ref(first)
+    build_state_system(first)
+    build_state_system(builders.mo(2))
+    del first
+    gc.collect()
+    assert ref() is None

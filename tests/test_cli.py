@@ -75,6 +75,20 @@ def test_states_on_non_orthomodular_source(capsys):
     assert "Witness(" not in doc["error"]
 
 
+def test_states_find_falls_back_to_simplex(capsys):
+    """On mo:11 the vertex search would try comb(22, 11) hyperplane
+    subsets, above its budget, so find returns the simplex vertex."""
+    code, doc = run(capsys, "states", "mo:11", "find")
+    assert code == 0
+    assert doc["verified"] is True
+    valuation = doc["valuation"]
+    assert len(valuation) == 24
+    assert valuation["0"] == "0" and valuation["1"] == "1"
+    for k in range(1, 12):
+        assert valuation[f"a{k}"] == "0"
+        assert valuation[f"~a{k}"] == "1"
+
+
 def test_check_passes(capsys):
     code, doc = run(capsys, "check", "l12", str(DATA / "l12_quarter.val"))
     assert code == 0
@@ -138,6 +152,20 @@ def test_hilbert_cap(capsys, tmp_path):
     code, doc = run(capsys, "hilbert", str(path), "--cap", "9")
     assert code == 1
     assert doc["kind"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["states", "hilbert", "classify"])
+def test_cap_below_one_rejected(capsys, d2_seeds, command, cap):
+    """Every subcommand takes --cap, so every one rejects a cap below 1,
+    also those that do not read it."""
+    argv = {"states": ["states", "mo:2", "extremes"],
+            "hilbert": ["hilbert", d2_seeds],
+            "classify": ["classify", "l12"]}[command]
+    code, doc = run(capsys, *argv, "--cap", cap)
+    assert code == 2
+    assert doc["kind"] == "ValueError"
+    assert doc["error"] == f"--cap must be at least 1, not {cap}"
 
 
 def test_hilbert_malformed_seeds(capsys, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlprob import builders
+from qlprob.cli import load_source
 from qlprob.core import NotOrthomodular
 from qlprob.states import (
     DomainMismatch,
@@ -164,9 +165,38 @@ def test_firefly_affine_relations(l12):
     relations = implied_affine_relations(l12)
     displays = [r.display() for r in relations]
     assert displays == ["f + b + n = 1", "l + r - f - b = 0"]
+
+
+def _rank(rows):
+    """Exact rank of a list of Fraction rows."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+                for r in rows if r is not pivot]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"mo:{k}" for k in range(2, 7)),
+    *(f"powerset:{k}" for k in range(2, 5)),
+    "l12",
+])
+def test_relations_hold_on_every_vertex(spec):
+    """Every relation holds on every vertex, and the relations cut the
+    atom space down to exactly the affine hull of the vertices."""
+    _, ortho = load_source(spec)
+    relations = implied_affine_relations(ortho)
+    vertices = extreme_states(ortho)
     for rel in relations:
-        for v in extreme_states(l12):
+        for v in vertices:
             assert rel.holds(v)
+    points = [[v.values[a] for a in ortho.atoms] for v in vertices]
+    hull_rank = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    assert len(ortho.atoms) - len(relations) == hull_rank
 
 
 def test_powerset_affine_relations(p3):
@@ -228,6 +258,12 @@ def test_sampled_states_reproducible(l12):
     assert [x.values for x in a] == [y.values for y in b]
     c = sample_states(l12, 10, seed=43)
     assert [x.values for x in a] != [y.values for y in c]
+
+
+def test_sampled_states_on_empty_polytope_raise(l12, monkeypatch):
+    monkeypatch.setattr("qlprob.states.extreme_states", lambda ortho: [])
+    with pytest.raises(Infeasible, match="state polytope is empty"):
+        sample_states(l12, 3, seed=0)
 
 
 def test_sampled_states_all_pass(l12):
