@@ -28,6 +28,9 @@ from .core import (
     lattice_check,
 )
 
+# maximal_blocks lists at most this many; past it classify reports a cut list.
+MAX_BLOCKS = 64
+
 
 class Witness(NamedTuple):
     law: str
@@ -105,45 +108,40 @@ def compatibility_matrix(ortho: OrthoLattice) -> np.ndarray:
     return recon == np.arange(ortho.n)[:, None]
 
 
-def maximal_blocks(ortho: OrthoLattice, cap: int = 64) -> tuple[tuple[int, ...], ...]:
-    """Maximal Boolean sublattices, greedily grown from every element and
-    closed under meet, join and negation.  Canonical sorted order."""
+def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
+    """Maximal Boolean sublattices (blocks), in canonical sorted order.
+
+    In a finite OML every block atom is an atom of L (an element below
+    one would be compatible with the whole block), so blocks are the
+    Boolean closures of the maximal pairwise-orthogonal atom sets.  Those
+    are the maximal cliques of the atom-orthogonality graph, found by
+    Bron-Kerbosch with pivoting (Bron & Kerbosch 1973; Tomita et al.
+    2006).  Past MAX_BLOCKS, raises CapExceeded with the first MAX_BLOCKS
+    blocks found, in canonical order, as partial.
+    """
     require_orthomodular(ortho)
-    C = compatibility_matrix(ortho)
-    n = ortho.n
-    blocks: set[frozenset[int]] = set()
-    for seed in range(n):
-        members = [seed]
-        mask = C[seed].copy()
-        changed = True
-        while changed:
-            changed = False
-            for e in range(n):
-                if e not in members and mask[e]:
-                    members.append(e)
-                    mask &= C[e]
-                    changed = True
-            # close under the lattice operations; compatibility is preserved
-            # inside a pairwise-compatible set, so the loop re-runs greedily
-            fresh = set(members)
-            for a in list(fresh):
-                fresh.add(ortho.neg[a])
-            for a in list(fresh):
-                for b in list(fresh):
-                    fresh.add(ortho.meet(a, b))
-                    fresh.add(ortho.join(a, b))
-            for e in sorted(fresh):
-                if e not in members:
-                    if not mask[e]:
-                        raise AssertionError("closure left the compatible set")
-                    members.append(e)
-                    mask &= C[e]
-                    changed = True
-        blocks.add(frozenset(members))
-        if len(blocks) > cap:
-            raise CapExceeded(f"more than {cap} maximal blocks")
-    ordered = sorted(tuple(sorted(b)) for b in blocks)
-    return tuple(ordered)
+    atoms = ortho.atoms
+    adjacent = {a: {b for b in atoms if ortho.orthogonal(a, b)} - {a} for a in atoms}
+
+    def cliques(clique: list[int], cand: set[int], done: set[int]):
+        if not cand and not done:
+            yield clique
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & adjacent[u]))
+        for v in sorted(cand - adjacent[pivot]):
+            yield from cliques(clique + [v], cand & adjacent[v], done & adjacent[v])
+            cand.remove(v)
+            done.add(v)
+
+    blocks: list[tuple[int, ...]] = []
+    for clique in cliques([], set(atoms), set()):
+        if len(blocks) == MAX_BLOCKS:
+            raise CapExceeded(f"more than {MAX_BLOCKS} maximal blocks", partial=tuple(sorted(blocks)))
+        block = {ortho.bottom}
+        for a in clique:
+            block |= {ortho.join(x, a) for x in block}
+        blocks.append(tuple(sorted(block)))
+    return tuple(sorted(blocks))
 
 
 def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
@@ -204,6 +202,7 @@ class ClassificationReport:
 
     Flags below is_lattice are None when the prerequisite structure is
     absent; witnesses maps a law name to the first failing witness.
+    blocks_truncated marks a block list cut at MAX_BLOCKS.
     """
 
     names: tuple[str, ...]
@@ -217,6 +216,7 @@ class ClassificationReport:
     is_atomistic: bool | None
     witnesses: dict[str, Witness]
     blocks: tuple[tuple[int, ...], ...] | None
+    blocks_truncated: bool = False
 
     def witness_names(self, law: str) -> tuple[str, ...]:
         return tuple(self.names[e] for e in self.witnesses[law].elements)
@@ -226,23 +226,16 @@ def classify(lattice: Lattice) -> ClassificationReport:
     """Run the full axiom ladder on a built lattice or ortholattice."""
     ortho = lattice if isinstance(lattice, OrthoLattice) else None
 
-    witnesses: dict[str, Witness] = {}
-    w_dist = check_distributive(lattice)
-    if w_dist is not None:
-        witnesses[w_dist.law] = w_dist
-    w_mod = check_modular(lattice)
-    if w_mod is not None:
-        witnesses[w_mod.law] = w_mod
-
-    is_omod = None
-    blocks = None
-    if ortho is not None:
-        w_omod = _orthomodular_witness(ortho)
-        if w_omod is not None:
-            witnesses[w_omod.law] = w_omod
-        is_omod = w_omod is None
-        if is_omod:
+    w_dist, w_mod = check_distributive(lattice), check_modular(lattice)
+    w_omod = None if ortho is None else _orthomodular_witness(ortho)
+    witnesses = {w.law: w for w in (w_dist, w_mod, w_omod) if w is not None}
+    is_omod = None if ortho is None else w_omod is None
+    blocks, truncated = None, False
+    if is_omod:
+        try:
             blocks = maximal_blocks(ortho)
+        except CapExceeded as exc:
+            blocks, truncated = exc.partial, True
 
     return ClassificationReport(
         names=lattice.names,
@@ -256,6 +249,7 @@ def classify(lattice: Lattice) -> ClassificationReport:
         is_atomistic=lattice.is_atomistic(),
         witnesses=witnesses,
         blocks=blocks,
+        blocks_truncated=truncated,
     )
 
 
@@ -283,7 +277,6 @@ def classify_poset(poset: Poset, neg_pairs=None) -> ClassificationReport:
         try:
             ortho = attach_ortho(lattice, neg_pairs)
         except (NotInvolutive, NotOrderReversing, ComplementLawFails):
-            report = classify(lattice)
-            return report
+            return classify(lattice)
         return classify(ortho)
     return classify(lattice)

@@ -85,6 +85,7 @@ def _classification_payload(name: str, report: ClassificationReport) -> dict:
             if report.blocks is None
             else [[report.names[e] for e in block] for block in report.blocks]
         ),
+        **({"blocks_truncated": True} if report.blocks_truncated else {}),
     }
 
 
@@ -95,7 +96,7 @@ def cmd_classify(args) -> int:
     if args.dot:
         payload["dot"] = to_dot(obj, name)
     _emit(payload)
-    return 0
+    return 1 if report.blocks_truncated else 0
 
 
 def _valuation_payload(valuation: states.Valuation) -> dict:

@@ -7,6 +7,29 @@ from qlprob import builders, hilbert
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "qlprob" / "data"
 
+# The Petersen graph: outer 5-cycle, spokes, inner pentagram.  As a
+# Greechie diagram each vertex is a block whose atoms are its 3 edges.
+PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def petersen_blocks(vertices=range(10)):
+    """The blocks of the chosen Petersen vertices, atoms named by edge."""
+    return [tuple(f"e{min(e)}{max(e)}" for e in PETERSEN_EDGES if v in e) for v in vertices]
+
+
+def greechie_text(blocks, name="greechie"):
+    """The .lat text of a Greechie diagram of 3-atom blocks: bottom, top,
+    the atoms and their complements, with a below ~b when a and b share
+    a block.  With no loop of order 3 or 4 it is an OML (Greechie 1971)."""
+    atoms = sorted({a for block in blocks for a in block})
+    lines = [f"lattice {name}", "element 0", *(f"element {a}" for a in atoms),
+             *(f"element ~{a}" for a in atoms), "element 1", "bottom 0", "top 1",
+             *(f"cover 0 {a}" for a in atoms), *(f"cover ~{a} 1" for a in atoms),
+             *(f"cover {a} ~{b}" for block in blocks for a in block for b in block if a != b),
+             "ortho 0 1", *(f"ortho {a} ~{a}" for a in atoms)]
+    return "\n".join(lines) + "\n"
+
 
 @pytest.fixture(scope="session")
 def l12():

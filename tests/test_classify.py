@@ -1,12 +1,15 @@
 """The axiom ladder on the standard menagerie, with every flag frozen
 from an independent hand check of the structure in question."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qlprob import builders
+from qlprob import builders, hilbert
 from qlprob.classify import (
+    MAX_BLOCKS,
     check_distributive,
     check_modular,
     check_sigma_omp,
@@ -15,7 +18,9 @@ from qlprob.classify import (
     compatibility_matrix,
     maximal_blocks,
 )
-from qlprob.core import attach_ortho_poset, build_poset, lattice_check
+from qlprob.core import CapExceeded, attach_ortho_poset, build_poset, lattice_check
+from qlprob.io import lattice_from_document, parse_lattice
+from tests.conftest import d3_seed_subspaces, greechie_text, petersen_blocks
 
 
 def ladder(report):
@@ -112,15 +117,58 @@ def test_compatibility_cross_block(l12):
     assert not C[idx["l"], idx["f"]]
 
 
-def test_blocks_are_boolean(l12):
-    for block in maximal_blocks(l12):
+def _greechie(blocks):
+    return lattice_from_document(parse_lattice(greechie_text(blocks)))
+
+
+BLOCK_CASES = {
+    **{f"mo{n}": partial(builders.mo, n) for n in range(2, 7)},
+    **{f"powerset{n}": partial(builders.powerset, n) for n in range(1, 6)},
+    "l12": builders.firefly_l12,
+    "d3": lambda: hilbert.generate_sublattice(d3_seed_subspaces())[0],
+    "petersen": lambda: _greechie(petersen_blocks()),
+}
+
+
+@pytest.mark.parametrize("build", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_blocks_are_boolean(build):
+    ortho = build()
+    C = compatibility_matrix(ortho)
+    blocks = maximal_blocks(ortho)
+    assert set().union(*blocks) == set(range(ortho.n))
+    for block in blocks:
         sub = set(block)
         # closed under the operations, and of power-of-two size
         for a in block:
-            assert l12.neg[a] in sub
+            assert ortho.neg[a] in sub
             for b in block:
-                assert l12.meet(a, b) in sub and l12.join(a, b) in sub
+                assert ortho.meet(a, b) in sub and ortho.join(a, b) in sub
         assert len(block) & (len(block) - 1) == 0
+        # maximal: no element outside is compatible with every member
+        outside = [e for e in range(ortho.n) if e not in sub]
+        assert not C[np.ix_(outside, block)].all(axis=1).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertices=st.sets(st.integers(min_value=0, max_value=9), min_size=1))
+@example(vertices=set(range(10)))
+def test_blocks_of_petersen_subdiagrams(vertices):
+    """A sub-diagram of the girth-5 Petersen diagram has no loop of order
+    3 or 4, so it is an OML whose blocks are exactly the chosen ones."""
+    diagram = petersen_blocks(sorted(vertices))
+    ortho = _greechie(diagram)
+    atoms = set(ortho.atoms)
+    got = {frozenset(ortho.names[e] for e in block if e in atoms)
+           for block in maximal_blocks(ortho)}
+    assert got == {frozenset(block) for block in diagram}
+
+
+def test_block_cap_carries_the_first_blocks():
+    with pytest.raises(CapExceeded) as info:
+        maximal_blocks(builders.mo(MAX_BLOCKS + 1))
+    found = info.value.partial
+    assert len(found) == MAX_BLOCKS and list(found) == sorted(found)
+    assert all(len(block) == 4 for block in found)
 
 
 def test_sigma_omp_on_firefly(l12):

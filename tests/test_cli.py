@@ -7,7 +7,7 @@ import math
 import pytest
 
 from qlprob.cli import main
-from tests.conftest import DATA
+from tests.conftest import DATA, greechie_text, petersen_blocks
 
 
 def run(capsys, *argv):
@@ -30,6 +30,33 @@ def test_classify_file(capsys):
     assert doc["source"] == "o6"
     assert doc["is_ortholattice"] and doc["is_orthomodular"] is False
     assert "orthomodular" in doc["witnesses"]
+
+
+def test_classify_petersen_lists_every_block(capsys):
+    text = (DATA / "petersen.lat").read_text()
+    body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    assert body == greechie_text(petersen_blocks(), "petersen")
+    code, doc = run(capsys, "classify", str(DATA / "petersen.lat"))
+    assert code == 0
+    assert len(doc["elements"]) == 32 and doc["is_orthomodular"]
+    assert len(doc["blocks"]) == 10
+    assert "blocks_truncated" not in doc
+
+
+def test_classify_block_cap_keeps_the_report(capsys):
+    """Past the block cap the ladder flags are still reported, with the
+    block list cut and marked; the cap makes the exit code 1."""
+    code, doc = run(capsys, "classify", "mo:65")
+    assert code == 1
+    ladder = {"is_lattice": True, "is_ortholattice": True, "is_distributive": False,
+              "is_modular": True, "is_orthomodular": True, "is_boolean": False,
+              "is_atomic": True, "is_atomistic": True}
+    assert {key: doc[key] for key in ladder} == ladder
+    assert "distributive" in doc["witnesses"]
+    assert len(doc["blocks"]) == 64
+    keys = list(doc)
+    assert keys[keys.index("blocks") + 1] == "blocks_truncated"
+    assert doc["blocks_truncated"] is True
 
 
 def test_classify_unknown_source(capsys):
