@@ -38,23 +38,16 @@ class Witness(NamedTuple):
 
 
 def check_distributive(lattice: Lattice) -> Witness | None:
-    """Scan all triples for x^(yvz) = (x^y)v(x^z) and its dual."""
-    n = lattice.n
+    """Scan all triples for x^(yvz) = (x^y)v(x^z).  In a lattice this
+    law implies its dual (Davey & Priestley 2002), so one scan decides."""
     M, J = lattice.meet_table, lattice.join_table
-    for x in range(n):
+    for x in range(lattice.n):
         lhs = M[x][J]                      # lhs[y, z] = x ^ (y v z)
         rhs = J[M[x][:, None], M[x][None, :]]
         bad = np.argwhere(lhs != rhs)
         if len(bad):
             y, z = map(int, bad[0])
             return Witness("distributive", (x, y, z))
-    for x in range(n):                     # dual, same witnesses in lattices
-        lhs = J[x][M]
-        rhs = M[J[x][:, None], J[x][None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            y, z = map(int, bad[0])
-            return Witness("distributive-dual", (x, y, z))
     return None
 
 
@@ -108,16 +101,16 @@ def compatibility_matrix(ortho: OrthoLattice) -> np.ndarray:
     return recon == np.arange(ortho.n)[:, None]
 
 
-def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
-    """Maximal Boolean sublattices (blocks), in canonical sorted order.
+def iter_blocks(ortho: OrthoLattice):
+    """Every block of the OML, uncapped, each as {element: the block atoms
+    below it}.
 
     In a finite OML every block atom is an atom of L (an element below
     one would be compatible with the whole block), so blocks are the
     Boolean closures of the maximal pairwise-orthogonal atom sets.  Those
     are the maximal cliques of the atom-orthogonality graph, found by
     Bron-Kerbosch with pivoting (Bron & Kerbosch 1973; Tomita et al.
-    2006).  Past MAX_BLOCKS, raises CapExceeded with the first MAX_BLOCKS
-    blocks found, in canonical order, as partial.
+    2006); each closure joins in one clique atom at a time.
     """
     require_orthomodular(ortho)
     atoms = ortho.atoms
@@ -133,13 +126,22 @@ def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
             cand.remove(v)
             done.add(v)
 
-    blocks: list[tuple[int, ...]] = []
     for clique in cliques([], set(atoms), set()):
+        block = {ortho.bottom: ()}
+        for a in clique:
+            block.update([(ortho.join(x, a), below + (a,)) for x, below in block.items()])
+        yield block
+
+
+def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
+    """Maximal Boolean sublattices (blocks) from iter_blocks, in canonical
+    sorted order.  Past MAX_BLOCKS, raises CapExceeded with the first
+    MAX_BLOCKS blocks found, in canonical order, as partial.
+    """
+    blocks: list[tuple[int, ...]] = []
+    for block in iter_blocks(ortho):
         if len(blocks) == MAX_BLOCKS:
             raise CapExceeded(f"more than {MAX_BLOCKS} maximal blocks", partial=tuple(sorted(blocks)))
-        block = {ortho.bottom}
-        for a in clique:
-            block |= {ortho.join(x, a) for x in block}
         blocks.append(tuple(sorted(block)))
     return tuple(sorted(blocks))
 

@@ -7,10 +7,14 @@ constraint system, verifies candidate valuations, finds feasible points,
 enumerates polytope vertices, and extracts the affine relations the
 constraints force between atom values.
 
-One elimination serves both relations and vertices: the state system is
-reduced once, columns ordered (non-atoms, atoms, constant), so every
-element becomes an affine form over free atom values, and the rows that
-pivot on atoms are the relations between atoms.
+Relations and vertices come from the blocks, in atom coordinates.  In a
+finite OML every orthogonal pair lies in a common block and every
+element lies in some block; an element's value is the sum of its atoms
+in any block that holds it.  So a state is fixed by its atom values
+x >= 0, subject to one "atoms sum to 1" row per block and one agreement
+row wherever two blocks share an element.  That small system has the
+solutions of the full additivity system, which build_state_system keeps
+for is_state and the simplex fallback of find_state.
 
 All polytope work is exact: coefficients are Fractions throughout, and
 equality claims in reports mean equality of rationals, not closeness.
@@ -25,11 +29,11 @@ from itertools import combinations
 from math import comb, gcd
 
 from .core import CapExceeded, OrthoLattice
-from .classify import require_orthomodular
+from .classify import iter_blocks, require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
 
-# comb(candidate inequalities, free dimensions) budget for vertex search
+# comb(#atoms, #atoms - rank) budget: the atom bases the vertex search tries
 ENUMERATION_BUDGET = 200_000
 
 
@@ -218,11 +222,13 @@ def _rref(rows: list[list[Fraction]], width: int, order=None):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
+        lead = rows[rank] = [c * inv for c in rows[rank]]
+        nonzero = [j for j, y in enumerate(lead) if y]
         for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+            factor = rows[r][col]
+            if r != rank and factor:
+                for j in nonzero:
+                    rows[r][j] -= factor * lead[j]
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
@@ -241,83 +247,63 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
     return x
 
 
-def _eliminate(ortho: OrthoLattice):
-    """The one RREF of the state system, columns ordered (non-atoms,
-    atoms, constant).  Finite OMLs are atomistic, so every non-atom is
-    a pivot and the free columns are atoms.  Returns (exprs, relation
-    rows): exprs[i] is the affine form (constant, coeffs over the free
-    columns) of element i on the solution space; each relation row is
-    [constant, atom coeffs...] of one atom-pivot row, homogeneous."""
-    system = build_state_system(ortho)
-    n = ortho.n
-    atoms = list(ortho.atoms)
-    atom_set = set(atoms)
-    order = [c for c in range(n) if c not in atom_set] + atoms
-    reduced, pivots = _rref(
-        [list(r.coeffs) + [-r.rhs] for r in system.rows], n + 1, order + [n]
-    )
-    if n in pivots:
+def _atom_system(ortho: OrthoLattice):
+    """The state system in atom coordinates, reduced once with the atom
+    columns first and the constant last.  Rows are [constant, atom
+    coeffs...], read as constant + coeffs . x = 0: one "block atoms sum
+    to 1" row per block, and one agreement row for each further block
+    that holds an already-seen element.  Returns (rows, below): below[e]
+    is the atoms under e in the first block that holds e, so a state's
+    value at e is the sum of its atom values over below[e]."""
+    column = {a: j for j, a in enumerate(ortho.atoms, 1)}
+    rows, below = [], {}
+
+    def row(constant, plus, minus=()):
+        r = [Fraction(constant)] + [Fraction(0)] * len(column)
+        for a in plus:
+            r[column[a]] += 1
+        for a in minus:
+            r[column[a]] -= 1
+        return r
+
+    for block in iter_blocks(ortho):
+        rows.append(row(-1, block[ortho.top]))
+        for e, atoms in block.items():
+            if e in below:
+                rows.append(row(0, atoms, below[e]))
+            else:
+                below[e] = atoms
+    reduced, pivots = _rref(rows, len(column) + 1, [*column.values(), 0])
+    if 0 in pivots:
         raise Infeasible("equality system is inconsistent")
-    pivot_row = dict(zip(pivots, reduced))
-    free = [c for c in order if c not in pivot_row]
-    exprs = []
-    for i in range(n):
-        if i in pivot_row:
-            row = pivot_row[i]
-            exprs.append((-row[n], tuple(-row[c] for c in free)))
-        else:
-            exprs.append((Fraction(0), tuple(Fraction(int(c == i)) for c in free)))
-    relations = [
-        [row[n]] + [row[a] for a in atoms]
-        for col, row in pivot_row.items()
-        if col in atom_set
-    ]
-    return exprs, relations
-
-
-def _evaluate(expr, point):
-    const, coeffs = expr
-    return const + sum(c * t for c, t in zip(coeffs, point) if c)
+    return reduced, below
 
 
 def extreme_states(ortho: OrthoLattice, cap: int = 1024) -> list[Valuation]:
     """Vertices of the state polytope, in increasing value-tuple order.
 
-    Enumerates solutions of square subsystems of tight box constraints
-    in the reduced free-variable space; exact and exhaustive for the
-    lattice sizes this library targets."""
-    exprs, _ = _eliminate(ortho)
-    d = len(exprs[0][1])
-    if d == 0:
-        values = tuple(e[0] for e in exprs)
-        if any(v < 0 or v > 1 for v in values):
-            raise Infeasible("fixed solution leaves the unit box")
-        return [Valuation(ortho, values)]
-
-    # each element contributes expr >= 0 and expr <= 1, as a . t <= c
-    ineqs = set()
-    for const, coeffs in exprs:
-        if not any(coeffs):
-            if const < 0 or const > 1:
-                raise Infeasible("fixed coordinate leaves the unit box")
-            continue
-        for a, c in ((tuple(-x for x in coeffs), const), (coeffs, 1 - const)):
-            na, nc = _normalize(list(a), c)
-            ineqs.add((na, nc))
-    ineqs = sorted(ineqs)
-    if comb(len(ineqs), d) > ENUMERATION_BUDGET:
+    The vertices are the basic feasible solutions of {x >= 0, block
+    rows} in atom coordinates: every choice of rank-many atoms whose
+    square subsystem is nonsingular and solves with x >= 0.  The upper
+    bounds x <= 1 follow from the block sums.  Exact and exhaustive for
+    the lattice sizes this library targets."""
+    rows, below = _atom_system(ortho)
+    atoms, rank = len(ortho.atoms), len(rows)
+    if comb(atoms, atoms - rank) > ENUMERATION_BUDGET:
         raise CapExceeded(
-            f"vertex search over {len(ineqs)} inequalities in {d} dimensions"
+            f"vertex search over {atoms} inequalities in {atoms - rank} dimensions"
         )
 
     found = {}
-    for subset in combinations(ineqs, d):
-        point = _solve_square([list(a) for a, _ in subset], [c for _, c in subset])
-        if point is None:
+    for basis in combinations(range(1, atoms + 1), rank):
+        point = _solve_square([[r[j] for j in basis] for r in rows], [-r[0] for r in rows])
+        if point is None or any(t < 0 for t in point):
             continue
-        values = tuple(_evaluate(e, point) for e in exprs)
-        if all(0 <= v <= 1 for v in values):
-            found[values] = None
+        x = dict(zip((ortho.atoms[j - 1] for j in basis), point))
+        values = tuple(sum((x.get(a, 0) for a in below[e]), Fraction(0)) for e in range(ortho.n))
+        found[values] = None
+    if not found:
+        raise Infeasible("state polytope is empty")
     vertices = sorted(found)
     if len(vertices) > cap:
         raise CapExceeded(
@@ -473,11 +459,10 @@ class AffineRelation:
 
 def implied_affine_relations(ortho: OrthoLattice) -> list[AffineRelation]:
     """Basis of the affine relations every state satisfies between atom
-    values.  Non-atom variables are eliminated first; the surviving
-    rows are reduced again with the constant column leading, scaled to
-    coprime integers, and oriented so the first atom coefficient is
-    positive."""
-    _, rows = _eliminate(ortho)
+    values: the atom system's rows reduced again with the constant
+    column leading, scaled to coprime integers, and oriented so the
+    first atom coefficient is positive."""
+    rows, _ = _atom_system(ortho)
     atoms = tuple(ortho.names[a] for a in ortho.atoms)
     reduced, _ = _rref(rows, len(atoms) + 1)
     return [AffineRelation(atoms, *_normalize(row[1:], -row[0])) for row in reduced]

@@ -87,6 +87,22 @@ def test_states_extremes(capsys):
         assert vertex["1"] == "1" and vertex["0"] == "0"
 
 
+def test_states_powerset7_extremes(capsys):
+    code, doc = run(capsys, "states", "powerset:7", "extremes")
+    assert code == 0
+    assert doc["count"] == 7
+    atoms = [[vertex[f"{{{k}}}"] for k in range(1, 8)] for vertex in doc["vertices"]]
+    assert sorted(atoms, reverse=True) == [["1" if j == k else "0" for j in range(7)]
+                                           for k in range(7)]
+
+
+def test_states_relations_past_the_block_cap(capsys):
+    """mo:65 has more blocks than classify lists; states uses them all."""
+    code, doc = run(capsys, "states", "mo:65", "relations")
+    assert code == 0
+    assert len(doc["relations"]) == 65
+
+
 def test_states_find_uniform(capsys):
     code, doc = run(capsys, "states", "powerset:2", "find")
     assert code == 0
@@ -103,8 +119,9 @@ def test_states_on_non_orthomodular_source(capsys):
 
 
 def test_states_find_falls_back_to_simplex(capsys):
-    """On mo:11 the vertex search would try comb(22, 11) hyperplane
-    subsets, above its budget, so find returns the simplex vertex."""
+    """On mo:11 the vertex search would try comb(22, 11) bases of 11
+    atoms out of 22, above its budget, so find returns the simplex
+    vertex."""
     code, doc = run(capsys, "states", "mo:11", "find")
     assert code == 0
     assert doc["verified"] is True

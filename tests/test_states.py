@@ -10,11 +10,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlprob import builders
 from qlprob.cli import load_source
 from qlprob.core import NotOrthomodular
+from qlprob.io import lattice_from_document, parse_lattice
 from qlprob.states import (
     DomainMismatch,
     Infeasible,
@@ -31,6 +32,7 @@ from qlprob.states import (
     subadditivity_scan,
     valuation_from_document,
 )
+from tests.conftest import DATA, greechie_text, petersen_blocks
 
 F = Fraction
 
@@ -116,7 +118,7 @@ def test_firefly_extreme_states(l12):
         assert v.is_exact()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 8))
 def test_powerset_extremes_are_point_masses(n):
     ps = builders.powerset(n)
     vertices = extreme_states(ps)
@@ -182,8 +184,9 @@ def _rank(rows):
 
 @pytest.mark.parametrize("spec", [
     *(f"mo:{k}" for k in range(2, 7)),
-    *(f"powerset:{k}" for k in range(2, 5)),
+    *(f"powerset:{k}" for k in range(2, 8)),
     "l12",
+    pytest.param(str(DATA / "petersen.lat"), id="petersen.lat"),
 ])
 def test_relations_hold_on_every_vertex(spec):
     """Every relation holds on every vertex, and the relations cut the
@@ -197,6 +200,39 @@ def test_relations_hold_on_every_vertex(spec):
     points = [[v.values[a] for a in ortho.atoms] for v in vertices]
     hull_rank = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
     assert len(ortho.atoms) - len(relations) == hull_rank
+
+
+@settings(max_examples=20, deadline=None)
+@given(vertices=st.sets(st.integers(min_value=0, max_value=9), min_size=1))
+@example(vertices=set(range(10)))
+def test_atom_system_matches_the_full_system(vertices):
+    """The block system in atom coordinates and the additivity system
+    over all elements have solution sets of equal dimension; on diagrams
+    of at most 4 blocks every vertex is a state obeying every relation."""
+    text = greechie_text(petersen_blocks(sorted(vertices)))
+    ortho = lattice_from_document(parse_lattice(text))
+    relations = implied_affine_relations(ortho)
+    coeffs = [list(row.coeffs) for row in build_state_system(ortho).rows]
+    assert len(ortho.atoms) - len(relations) == ortho.n - _rank(coeffs)
+    if len(vertices) <= 4:
+        for v in extreme_states(ortho):
+            assert is_state(ortho, v).passed
+            assert all(rel.holds(v) for rel in relations)
+
+
+def test_relations_and_vertices_skip_the_full_system(l12, monkeypatch):
+    """Relations and vertices come from the blocks alone."""
+    def refuse(ortho):
+        raise AssertionError("build_state_system called")
+
+    monkeypatch.setattr("qlprob.states.build_state_system", refuse)
+    displays = [r.display() for r in implied_affine_relations(l12)]
+    assert displays == ["f + b + n = 1", "l + r - f - b = 0"]
+    supports = sorted(
+        tuple(sorted(a for a in ("l", "r", "f", "b", "n") if v.value(a) == 1))
+        for v in extreme_states(l12)
+    )
+    assert supports == [("b", "l"), ("b", "r"), ("f", "l"), ("f", "r"), ("n",)]
 
 
 def test_powerset_affine_relations(p3):
