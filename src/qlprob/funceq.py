@@ -228,6 +228,7 @@ class RegraduationResult:
     anchor: float
     grid: tuple[float, ...]
     values: tuple[float, ...]
+    inverse: Callable[[float], float]  # w⁻¹ on [0, w(hi)], by ruler replay
 
 
 def _bisect_diagonal(f: CoxFunction, target: float, lo: float, hi: float) -> float:
@@ -251,7 +252,9 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     grid first, then requires f(lo, lo) = lo (no additive zero means no
     additive form on this interval), builds the dyadic ruler, and
     finally measures the worst additivity residual over all grid pairs
-    whose f value stays inside the interval."""
+    whose f value stays inside the interval.  The inverse w⁻¹(t)
+    replays the ruler: the greedy walk of w, stopped where its weight
+    would pass t, and never past hi."""
     if f.arity != 2:
         raise TypeError("regraduation needs a binary rule")
     grid = [float(x) for x in np.linspace(f.lo, f.hi, grid_size)]
@@ -295,6 +298,19 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
         cache[x] = total
         return total
 
+    def unmeasure(t: float) -> float:
+        total = 0.0
+        position = f.lo
+        for level, tick in enumerate(rulers):
+            weight = 0.5 ** level
+            while total + weight <= t:
+                step = f(position, tick)
+                if step > f.hi or step <= position:
+                    break
+                position = step
+                total += weight
+        return position
+
     w = CoxFunction(
         arity=1, lo=f.lo, hi=f.hi, fn=measure, total=False,
         label=f"regraduation of {f.label or 'rule'}",
@@ -314,6 +330,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
         anchor=float(anchor),
         grid=tuple(float(x) for x in grid),
         values=tuple(float(w(x)) for x in grid),
+        inverse=unmeasure,
     )
 
 
@@ -348,18 +365,6 @@ def verify_rescale_freedom(result: RegraduationResult, f: CoxFunction, factors, 
     )
 
 
-def invert_increasing(fn: Callable, lo: float, hi: float, target: float) -> float:
-    """Bisection inverse of a strictly increasing function on [lo, hi]."""
-    a, b = lo, hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if fn(mid) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def additive_conjugate(result: RegraduationResult) -> CoxFunction:
     """The rule w⁻¹(w(x) + w(y)).
 
@@ -367,15 +372,15 @@ def additive_conjugate(result: RegraduationResult) -> CoxFunction:
     triples always compose; intermediates may exceed the declared hi
     and are legal, so the rule itself guards the one real limit: a
     w-sum past w(hi) has no preimage and raises DomainEscape."""
-    w = result.w
+    w, inverse = result.w, result.inverse
     top = w(w.hi)
-    hi = invert_increasing(w, w.lo, w.hi, top / 3)
+    hi = inverse(top / 3)
 
     def rule(x, y):
         total = w(x) + w(y)
         if total > top + 1e-9:
             raise DomainEscape(total)
-        return invert_increasing(w, w.lo, w.hi, total)
+        return inverse(total)
 
     return CoxFunction(
         arity=2, lo=w.lo, hi=hi, fn=rule, total=True,

@@ -12,6 +12,7 @@ magnitude apart so rank decisions never contradict equality decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,15 +48,23 @@ class Subspace:
     def __post_init__(self):
         self.basis.setflags(write=False)
         gram = self.basis.conj().T @ self.basis
-        if not np.allclose(gram, np.eye(self.dim), atol=ORTHONORMAL_TOL):
+        # element-wise and absolute; a NaN entry fails the test too
+        if not (np.abs(gram - np.eye(self.dim)) <= ORTHONORMAL_TOL).all():
             raise ValueError("basis columns are not orthonormal")
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        p = self.basis @ self.basis.conj().T
+        p.setflags(write=False)
+        return p
+
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        """The orthogonal projector, computed once; read-only."""
+        return self._projector
 
     def same(self, other: "Subspace") -> bool:
         if self.d != other.d:
@@ -209,14 +218,23 @@ def _canonical_key(s: Subspace):
     return (s.dim, tuple(rounded.real.ravel()), tuple(rounded.imag.ravel()))
 
 
+def _first_within(stack: np.ndarray, p: np.ndarray) -> int | None:
+    """Index of the first projector in stack within EQUALITY_TOL of p in
+    Frobenius norm: the match a loop over Subspace.same would find."""
+    gaps = np.linalg.norm((stack - p).reshape(len(stack), -1), axis=1)
+    hits = np.flatnonzero(gaps < EQUALITY_TOL)
+    return int(hits[0]) if hits.size else None
+
+
 def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subspace, ...]]:
     """Close the seeds under meet, join, and complement, then rebuild
     the result as a verified abstract ortholattice.
 
     Returns the lattice together with the element-indexed subspace
-    embedding.  Closure is breadth-first with deduplication by projector
-    distance; element order is by (dimension, projector entries), which
-    keeps runs deterministic."""
+    embedding.  Closure is breadth-first, deduplicated against the
+    first element within EQUALITY_TOL; each complement is computed once
+    and serves the meets too.  Element order is by (dimension,
+    projector entries), which keeps runs deterministic."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed subspace required")
@@ -225,63 +243,63 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
         if s.d != d:
             raise DimensionMismatch(f"{s.d} vs {d}")
 
-    elements: list[Subspace] = [null_subspace(d), full_subspace(d)]
+    elements: list[Subspace] = []
+    perps: list[Subspace] = []  # ortho_s(elements[i])
+    stack = np.empty((16, d, d), dtype=np.complex128)  # projectors of elements
 
-    def find(s: Subspace) -> int | None:
-        for i, t in enumerate(elements):
-            if t.same(s):
-                return i
-        return None
+    def keep(s: Subspace):
+        nonlocal stack
+        if len(elements) == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[len(elements)] = s.projector()
+        elements.append(s)
+        perps.append(ortho_s(s))
 
-    def add(s: Subspace) -> bool:
-        if find(s) is None:
-            elements.append(s)
+    def add(s: Subspace):
+        if _first_within(stack[:len(elements)], s.projector()) is None:
+            keep(s)
             if len(elements) > cap:
-                raise CapExceeded(f"closure exceeded {cap} subspaces")
-            return True
-        return False
+                raise CapExceeded(f"hilbert closure reached {len(elements)} subspaces, cap {cap}")
 
+    keep(null_subspace(d))
+    keep(full_subspace(d))
     for s in seeds:
         add(s)
-    frontier = list(range(len(elements)))
+    # every round's frontier is the run of elements the round before added
+    frontier = range(len(elements))
     while frontier:
-        fresh: list[int] = []
-
-        def record(s: Subspace):
-            if add(s):
-                fresh.append(len(elements) - 1)
-
+        start = len(elements)
         for i in frontier:
-            record(ortho_s(elements[i]))
+            add(perps[i])
         snapshot = len(elements)
-        new = set(frontier)
         for i in range(snapshot):
             for j in range(i + 1, snapshot):
-                if i in new or j in new:
-                    record(meet_s(elements[i], elements[j]))
-                    record(join_s(elements[i], elements[j]))
-        frontier = fresh
+                if i in frontier or j in frontier:
+                    add(ortho_s(join_s(perps[i], perps[j])))
+                    add(join_s(elements[i], elements[j]))
+        frontier = range(start, len(elements))
 
     order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
     ordered = [elements[i] for i in order]
-    names = ["0"] + [f"s{i}" for i in range(1, len(ordered) - 1)] + ["1"]
+    projectors = stack[order]
+    n = len(ordered)
+    names = ["0"] + [f"s{i}" for i in range(1, n - 1)] + ["1"]
 
-    leq = np.zeros((len(ordered), len(ordered)), dtype=bool)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            leq[i, j] = b.contains(a)
+    # leq[i, j]: ordered[j] contains ordered[i], that is P_j P_i = P_i
+    leq = np.zeros((n, n), dtype=bool)
+    for i, p in enumerate(projectors):
+        leq[i] = np.linalg.norm((projectors @ p - p).reshape(n, -1), axis=1) < EQUALITY_TOL
     # every strict inclusion; the closure adds a pair only where
     # inclusion fails to be transitive
-    strict = leq & ~np.eye(len(ordered), dtype=bool)
+    strict = leq & ~np.eye(n, dtype=bool)
     poset = build_poset(names, [(names[i], names[j]) for i, j in np.argwhere(strict)],
                         bottom="0", top="1")
     if not np.array_equal(poset.leq, leq):
         raise NumericalBreakdown("subspace inclusion order is not transitive")
     lattice = lattice_check(poset)
     pairs = []
-    for i, s in enumerate(ordered):
-        c = ortho_s(s)
-        j = next((k for k, t in enumerate(ordered) if t.same(c)), None)
+    for i, k in enumerate(order):
+        j = _first_within(projectors, perps[k].projector())
         if j is None:
             raise NumericalBreakdown(f"complement of element {names[i]} left the closure")
         if i <= j:

@@ -32,6 +32,7 @@ from .core import CapExceeded, OrthoLattice
 from .classify import iter_blocks, require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
+_ZERO = Fraction(0)
 
 # comb(#atoms, #atoms - rank) budget: the atom bases the vertex search tries
 ENUMERATION_BUDGET = 200_000
@@ -118,11 +119,14 @@ class StateCheckReport:
 
 
 def _normalize(coeffs: list[Fraction], rhs: Fraction):
-    """Scale to coprime integers with the leading coefficient positive."""
-    denom = 1
-    for c in list(coeffs) + [rhs]:
+    """Scale to coprime integers with the leading coefficient positive.
+    Only the nonzero entries are visited; every zero of the result is
+    the same Fraction(0)."""
+    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
+    denom = rhs.denominator
+    for _, c in nonzero:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs] + [int(rhs * denom)]
+    ints = [int(c * denom) for _, c in nonzero] + [int(rhs * denom)]
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
@@ -131,7 +135,10 @@ def _normalize(coeffs: list[Fraction], rhs: Fraction):
     lead = next((c for c in ints if c), 0)
     if lead < 0:
         ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints[:-1]), Fraction(ints[-1])
+    out = [_ZERO] * len(coeffs)
+    for (k, _), c in zip(nonzero, ints):
+        out[k] = Fraction(c)
+    return tuple(out), Fraction(ints[-1])
 
 
 def build_state_system(ortho: OrthoLattice) -> StateSystem:
@@ -140,21 +147,21 @@ def build_state_system(ortho: OrthoLattice) -> StateSystem:
     pair taken in index order."""
     require_orthomodular(ortho)
     n = ortho.n
-    zero = Fraction(0)
     rows: list[Row] = []
     seen = set()
 
     def push(coeffs, rhs, label):
         norm = _normalize(coeffs, rhs)
-        if any(norm[0]) or norm[1]:
-            if norm not in seen:
-                seen.add(norm)
-                rows.append(Row(norm[0], norm[1], label))
+        # every zero of norm is _ZERO, so its nonzero entries key the row
+        key = (norm[1], *((k, c) for k, c in enumerate(norm[0]) if c is not _ZERO))
+        if (len(key) > 1 or norm[1]) and key not in seen:
+            seen.add(key)
+            rows.append(Row(norm[0], norm[1], label))
 
-    base = [zero] * n
+    base = [_ZERO] * n
     coeffs = base.copy()
     coeffs[ortho.bottom] = Fraction(1)
-    push(coeffs, zero, "bottom")
+    push(coeffs, _ZERO, "bottom")
     coeffs = base.copy()
     coeffs[ortho.top] = Fraction(1)
     push(coeffs, Fraction(1), "top")
@@ -166,7 +173,7 @@ def build_state_system(ortho: OrthoLattice) -> StateSystem:
             coeffs[ortho.join(a, b)] += Fraction(1)
             coeffs[a] -= Fraction(1)
             coeffs[b] -= Fraction(1)
-            push(coeffs, zero, f"add {ortho.names[a]} {ortho.names[b]}")
+            push(coeffs, _ZERO, f"add {ortho.names[a]} {ortho.names[b]}")
     return StateSystem(variables=ortho.names, rows=tuple(rows))
 
 

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlprob import builders, hilbert
@@ -64,6 +65,18 @@ def d3_seed_subspaces():
     axes = [hilbert.subspace_from_vectors(3, [v]) for v in
             ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
     return axes + [hilbert.subspace_from_vectors(3, [[r, r, 0]])]
+
+
+def two_plane_seeds(k, rng):
+    """k random lines in each of two orthogonal planes of C^4; they
+    close to MO(k) x MO(k), (2k + 2)^2 elements."""
+    seeds = []
+    for plane in (0, 2):
+        for _ in range(k):
+            v = np.zeros(4, dtype=np.complex128)
+            v[plane:plane + 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            seeds.append(hilbert.subspace_from_vectors(4, [v]))
+    return seeds
 
 
 @pytest.fixture(scope="session")

@@ -196,6 +196,7 @@ def test_hilbert_cap(capsys, tmp_path):
     code, doc = run(capsys, "hilbert", str(path), "--cap", "9")
     assert code == 1
     assert doc["kind"] == "CapExceeded"
+    assert doc["error"] == "hilbert closure reached 10 subspaces, cap 9"
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

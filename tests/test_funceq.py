@@ -21,7 +21,6 @@ from qlprob.funceq import (
     check_involution,
     from_samples_binary,
     from_samples_unary,
-    invert_increasing,
     regraduate,
     verify_rescale_freedom,
 )
@@ -154,9 +153,34 @@ def test_additive_conjugate_is_associative():
     assert report.max_residual < 1e-10
 
 
-def test_invert_increasing():
-    root = invert_increasing(lambda x: x * x, 0.0, 2.0, 2.0)
-    assert root == pytest.approx(math.sqrt(2), abs=1e-12)
+def test_ruler_replay_inverse():
+    """w⁻¹ replays the dyadic ruler.  For x + y + xy the normalised
+    regraduation is ln(1 + x) / ln(1 + x1), so w⁻¹(t) = (1 + x1)^t − 1."""
+    result = regraduate(builtin("sumprod"))
+    w, inverse = result.w, result.inverse
+    top = w(w.hi)
+    rng = np.random.default_rng(17)
+    for t in np.concatenate([rng.uniform(0, top, 200), [0.0, result.values[1], top]]):
+        x = inverse(float(t))
+        assert w.lo <= x <= w.hi
+        assert abs(x - ((1 + result.anchor) ** t - 1)) <= 1e-12
+        assert abs(w(x) - t) <= 1e-11
+    assert inverse(0.0) == w.lo
+    assert inverse(top + 1e-9) <= w.hi
+
+
+def test_ruler_replay_inverse_stays_in_sampled_domain():
+    xs = np.linspace(0, 1, 65)
+    result = regraduate(from_samples_binary([(x, y, x + y + x * y) for x in xs for y in xs]))
+    w = result.w
+    top = w(w.hi)
+    for t in np.linspace(0, top, 101):
+        x = result.inverse(float(t))
+        assert w.lo <= x <= w.hi
+        w(x)  # inside the sampled domain, so no DomainEscape
+    assert result.inverse(top + 1e-9) <= w.hi
+    conjugate = additive_conjugate(result)
+    assert conjugate(conjugate.hi, conjugate.hi) <= w.hi
 
 
 def test_samples_reproduce_unary_rule():

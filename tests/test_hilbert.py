@@ -27,7 +27,7 @@ from qlprob.hilbert import (
     subspace_from_vectors,
 )
 from qlprob.states import is_state
-from tests.conftest import d2_seed_subspaces, d3_seed_subspaces
+from tests.conftest import d2_seed_subspaces, d3_seed_subspaces, two_plane_seeds
 
 RNG = np.random.default_rng
 
@@ -194,8 +194,70 @@ def test_closure_is_deterministic():
 def test_closure_cap():
     from qlprob.core import CapExceeded
 
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^hilbert closure reached 10 subspaces, cap 9$"):
         generate_sublattice(d3_seed_subspaces(), cap=9)
+
+
+def test_basis_norm_tolerance():
+    """Orthonormality is absolute and element-wise: a column of norm
+    1 + 1e-7 is off by 2e-7 on the Gram diagonal, past 1e-10."""
+    basis = np.zeros((3, 2), dtype=np.complex128)
+    basis[0, 0] = 1
+    basis[1, 1] = 1 + 1e-7
+    with pytest.raises(ValueError):
+        Subspace(3, basis)
+    basis = basis.copy()
+    basis[1, 1] = 1 + 1e-12
+    assert Subspace(3, basis).dim == 2
+
+
+def _reference_key(s):
+    rounded = np.round(s.projector(), 9) + 0.0
+    return (s.dim, tuple(rounded.real.ravel()), tuple(rounded.imag.ravel()))
+
+
+def reference_closure(seeds):
+    """The closure as a plain pairwise loop: each candidate against every
+    kept element through Subspace.same, meets through meet_s, inclusion
+    through Subspace.contains.  Returns the ordered embedding, the
+    inclusion matrix and the complement of each element by index."""
+    d = seeds[0].d
+    elements = [null_subspace(d), full_subspace(d)]
+
+    def add(s):
+        if not any(t.same(s) for t in elements):
+            elements.append(s)
+
+    for s in seeds:
+        add(s)
+    frontier = set(range(len(elements)))
+    while frontier:
+        start = len(elements)
+        for i in sorted(frontier):
+            add(ortho_s(elements[i]))
+        snapshot = len(elements)
+        for i in range(snapshot):
+            for j in range(i + 1, snapshot):
+                if i in frontier or j in frontier:
+                    add(meet_s(elements[i], elements[j]))
+                    add(join_s(elements[i], elements[j]))
+        frontier = set(range(start, len(elements)))
+    ordered = sorted(elements, key=_reference_key)
+    leq = np.array([[b.contains(a) for b in ordered] for a in ordered])
+    neg = tuple(next(k for k, t in enumerate(ordered) if t.same(ortho_s(s))) for s in ordered)
+    return ordered, leq, neg
+
+
+@pytest.mark.parametrize("seeds", [d2_seed_subspaces, d3_seed_subspaces,
+                                   lambda: two_plane_seeds(3, RNG(64))],
+                         ids=["d2", "d3", "c4-3+3"])
+def test_closure_matches_the_pairwise_loop(seeds):
+    ortho, embedding = generate_sublattice(seeds())
+    ordered, leq, neg = reference_closure(seeds())
+    assert len(embedding) == len(ordered)
+    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
+    assert np.array_equal(ortho.poset.leq, leq)
+    assert ortho.neg == neg
 
 
 def test_born_valuation_is_a_state_maxmixed(d2_lattice, d3_lattice):

@@ -8,11 +8,14 @@ existed."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlprob import builders
+from qlprob import builders, hilbert, states
 from qlprob.cli import load_source
 from qlprob.core import NotOrthomodular
 from qlprob.io import lattice_from_document, parse_lattice
@@ -32,7 +35,7 @@ from qlprob.states import (
     subadditivity_scan,
     valuation_from_document,
 )
-from tests.conftest import DATA, greechie_text, petersen_blocks
+from tests.conftest import DATA, greechie_text, petersen_blocks, two_plane_seeds
 
 F = Fraction
 
@@ -233,6 +236,62 @@ def test_relations_and_vertices_skip_the_full_system(l12, monkeypatch):
         for v in extreme_states(l12)
     )
     assert supports == [("b", "l"), ("b", "r"), ("f", "l"), ("f", "r"), ("n",)]
+
+
+def dense_normalize(coeffs, rhs):
+    """Coprime integers over every entry, leading coefficient positive."""
+    denom = 1
+    for c in list(coeffs) + [rhs]:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in coeffs] + [int(rhs * denom)]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    ints = [c // g for c in ints] if g > 1 else ints
+    if next((c for c in ints if c), 0) < 0:
+        ints = [-c for c in ints]
+    return tuple(Fraction(c) for c in ints[:-1]), Fraction(ints[-1])
+
+
+def dense_state_rows(ortho):
+    """The state rows in their documented order (bottom, top, one
+    additivity row per orthogonal pair in index order), normalised
+    densely and deduplicated."""
+    rows, seen = [], set()
+    unit = [[F(int(k == e)) for k in range(ortho.n)] for e in range(ortho.n)]
+    candidates = [(unit[ortho.bottom], F(0), "bottom"), (unit[ortho.top], F(1), "top")]
+    for a, b in combinations(range(ortho.n), 2):
+        if ortho.orthogonal(a, b):
+            coeffs = [x - y - z for x, y, z in zip(unit[ortho.join(a, b)], unit[a], unit[b])]
+            candidates.append((coeffs, F(0), f"add {ortho.names[a]} {ortho.names[b]}"))
+    for coeffs, rhs, label in candidates:
+        norm = dense_normalize(coeffs, rhs)
+        if (any(norm[0]) or norm[1]) and norm not in seen:
+            seen.add(norm)
+            rows.append((*norm, label))
+    return rows
+
+
+@pytest.mark.parametrize("source", [
+    "l12", "mo:4", "powerset:3", str(DATA / "petersen.lat"), "hilbert-2x2"],
+    ids=["l12", "mo4", "powerset3", "petersen", "hilbert-2x2"])
+def test_sparse_normalisation_gives_the_dense_rows(source):
+    if source == "hilbert-2x2":
+        ortho, _ = hilbert.generate_sublattice(two_plane_seeds(2, np.random.default_rng(5)))
+    else:
+        _, ortho = load_source(source)
+    system = build_state_system(ortho)
+    assert [(r.coeffs, r.rhs, r.label) for r in system.rows] == dense_state_rows(ortho)
+    assert len({id(c) for r in system.rows for c in r.coeffs if not c}) == 1
+
+
+@pytest.mark.parametrize("spec", ["powerset:6", str(DATA / "petersen.lat")],
+                         ids=["powerset6", "petersen"])
+def test_sparse_normalisation_keeps_the_relations(spec, monkeypatch):
+    _, ortho = load_source(spec)
+    relations = implied_affine_relations(ortho)
+    monkeypatch.setattr(states, "_normalize", dense_normalize)
+    assert relations == implied_affine_relations(ortho)
 
 
 def test_powerset_affine_relations(p3):
