@@ -1,8 +1,11 @@
 """Law checks along the axiom ladder, compatibility and block structure.
 
-All checks are exhaustive scans over the memoised tables.  Scans report
-the first failing witness in index order, so results are deterministic
-however the loops are arranged.
+The distributive and modular laws are first decided by tests that are
+not cubic: join-irreducibles are join-prime, and the covers are upper
+and lower semimodular.  Only when a test fails does an exhaustive scan
+over the memoised tables run, to report the first failing witness in
+index order, so results are deterministic however the loops are
+arranged.  The orthomodular law is one scan over comparable pairs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     OrthoLattice,
     Poset,
     attach_ortho,
+    _bits,
     extremal,
     lattice_check,
 )
@@ -37,9 +41,27 @@ class Witness(NamedTuple):
     elements: tuple[int, ...]
 
 
+def _join_primes(lattice: Lattice) -> bool:
+    """Every join-irreducible j (one lower cover) is join-prime: the
+    elements not above j have a greatest element, so no join of two of
+    them is above j.  A finite lattice is distributive iff this holds
+    (Davey & Priestley 2002)."""
+    poset = lattice.poset
+    everything = (1 << poset.n) - 1
+    for j in range(poset.n):
+        irreducible = len(extremal(poset.down[j] ^ 1 << j, poset.up)) == 1
+        if irreducible and len(extremal(everything ^ poset.up[j], poset.up)) != 1:
+            return False
+    return True
+
+
 def check_distributive(lattice: Lattice) -> Witness | None:
-    """Scan all triples for x^(yvz) = (x^y)v(x^z).  In a lattice this
-    law implies its dual (Davey & Priestley 2002), so one scan decides."""
+    """x^(yvz) = (x^y)v(x^z) for all triples.  In a lattice this law
+    implies its dual (Davey & Priestley 2002), so one law decides.  The
+    join-prime test decides it; only when that fails does the triple
+    scan run, for the first witness in index order."""
+    if _join_primes(lattice):
+        return None
     M, J = lattice.meet_table, lattice.join_table
     for x in range(lattice.n):
         lhs = M[x][J]                      # lhs[y, z] = x ^ (y v z)
@@ -51,8 +73,32 @@ def check_distributive(lattice: Lattice) -> Witness | None:
     return None
 
 
+def _semimodular(lattice: Lattice) -> bool:
+    """Upper and lower semimodularity on the covers: two distinct upper
+    covers of an element are both covered by their join, and dually.  A
+    lattice of finite length is modular iff it is both (Birkhoff 1967;
+    Stern 1999)."""
+    upper, lower = [0] * lattice.n, [0] * lattice.n   # cover bitmasks
+    for lo, hi in lattice.poset.covers:
+        upper[lo] |= 1 << hi
+        lower[hi] |= 1 << lo
+    for table, near in ((lattice.join_table, upper), (lattice.meet_table, lower)):
+        for mask in near:
+            members = list(_bits(mask))
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    bound = int(table[a, b])   # a v b (a ^ b in the dual pass)
+                    if not near[a] >> bound & near[b] >> bound & 1:
+                        return False
+    return True
+
+
 def check_modular(lattice: Lattice) -> Witness | None:
-    """Scan all (x, a, b) with x <= b for x v (a^b) = (x v a) ^ b."""
+    """x v (a^b) = (x v a) ^ b for all (x, a, b) with x <= b.  The
+    semimodularity test decides it; only when that fails does the scan
+    run, for the first witness in index order."""
+    if _semimodular(lattice):
+        return None
     n = lattice.n
     M, J = lattice.meet_table, lattice.join_table
     leq = lattice.poset.leq

@@ -2,11 +2,11 @@
 
 Elements are integer indices into a fixed name table.  Structures are
 built from covering relations (Hasse form); the full order is the
-reflexive-transitive closure.  Meets and joins are found by brute-force
-bound search at construction time and memoised in dense tables, so every
-later law check is a table lookup.  The types form one chain: a Lattice
-is built on a Poset, and an OrthoLattice is a Lattice with a verified
-negation.  All types are immutable once built.
+reflexive-transitive closure.  Meets and joins are found at construction
+time with one bit test per pair over a linear extension, and memoised in
+dense tables, so every later law check is a table lookup.  The types
+form one chain: a Lattice is built on a Poset, and an OrthoLattice is a
+Lattice with a verified negation.  All types are immutable once built.
 """
 
 from __future__ import annotations
@@ -130,32 +130,25 @@ class Poset:
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Bitmask per element a of {c : c <= a}."""
-        masks = []
-        for a in range(self.n):
-            m = 0
-            for c in np.flatnonzero(self.leq[:, a]):
-                m |= 1 << int(c)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(_row_masks(self.leq.T))
 
     @cached_property
     def up(self) -> tuple[int, ...]:
         """Bitmask per element a of {c : a <= c}."""
-        masks = []
-        for a in range(self.n):
-            m = 0
-            for c in np.flatnonzero(self.leq[a, :]):
-                m |= 1 << int(c)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(_row_masks(self.leq))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (lo, hi) of the Hasse diagram, in index order."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-        cov = strict & ~two_step
-        return tuple((int(a), int(b)) for a, b in np.argwhere(cov))
+        """Covering pairs (lo, hi) of the Hasse diagram, in index order:
+        each hi is a minimal element of lo's strict up-set."""
+        return tuple((a, b) for a in range(self.n)
+                     for b in extremal(self.up[a] ^ 1 << a, self.down))
+
+
+def _row_masks(rows: Iterable[np.ndarray]) -> list[int]:
+    """Each bool row as an int with bit c set where row[c]."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in rows]
 
 
 def build_poset(
@@ -308,23 +301,37 @@ class Lattice:
 def lattice_check(poset: Poset) -> Lattice:
     """Verify every pair has a meet and a join; memoise the tables.
 
-    Raises NotALattice at the first failing pair in index order, carrying
-    the incomparable bound set as witnesses.
+    Down- and up-sets are relabelled as bitmasks over positions in a
+    linear extension (elements by down-set size).  The highest common
+    lower bound of a pair is then maximal among them, and it is the meet
+    exactly when its own down-set is all of them; dually the lowest
+    common upper bound is the join exactly when its up-set is all of
+    them.  Raises NotALattice at the first failing pair in index order,
+    carrying the incomparable bound set as witnesses.
     """
     n, names = poset.n, poset.names
-    down, up = poset.down, poset.up
+    down_size = [d.bit_count() for d in poset.down]
+    up_size = [u.bit_count() for u in poset.up]
+    order = sorted(range(n), key=down_size.__getitem__)
+    # by element, with bit p set for the element at position p
+    down = _row_masks(poset.leq[order].T)
+    up = _row_masks(poset.leq[:, order])
     meet_t = np.zeros((n, n), dtype=np.int32)
     join_t = np.zeros((n, n), dtype=np.int32)
     for a in range(n):
-        meets, joins = [], []
-        for b in range(a, n):
-            maximal = extremal(down[a] & down[b], up)
-            minimal = extremal(up[a] & up[b], down)
-            if len(maximal) != 1 or len(minimal) != 1:
-                kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
-                raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
-            meets.append(maximal[0])
-            joins.append(minimal[0])
+        lows = [down[a] & d for d in down[a:]]
+        highs = [up[a] & u for u in up[a:]]
+        meets = [order[s.bit_length() - 1] for s in lows]
+        joins = [order[(s & -s).bit_length() - 1] for s in highs]
+        # a bound's own cone lies inside the common cone, so sizes decide
+        fails = [s.bit_count() != down_size[m] or t.bit_count() != up_size[j]
+                 for m, s, j, t in zip(meets, lows, joins, highs)]
+        if any(fails):
+            b = a + fails.index(True)
+            maximal = extremal(poset.down[a] & poset.down[b], poset.up)
+            minimal = extremal(poset.up[a] & poset.up[b], poset.down)
+            kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
+            raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
         meet_t[a, a:] = meet_t[a:, a] = meets
         join_t[a, a:] = join_t[a:, a] = joins
     return Lattice(poset=poset, meet_table=meet_t, join_table=join_t)

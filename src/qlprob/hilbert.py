@@ -37,10 +37,11 @@ def _check_dimension(d: int):
         raise DimensionMismatch(f"ambient dimension {d} outside 1..{MAX_DIMENSION}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal column basis of a subspace; zero columns for the
-    null subspace."""
+    null subspace.  == and hash are by identity; geometric equality is
+    same()."""
 
     d: int
     basis: np.ndarray  # complex128, shape (d, k)

@@ -71,6 +71,24 @@ def test_classify_dot_flag(capsys):
     assert doc["dot"].startswith("digraph")
 
 
+def test_classify_lantern_covers(capsys, tmp_path):
+    """0 and 1 with 128 complement pairs between them: 0 < 1 has 256
+    two-step paths, which a uint8 path count wraps to 0, so it must
+    still not be read as a cover."""
+    middle = [f"{side}{i}" for i in range(128) for side in "ab"]
+    lines = ["lattice lantern", "element 0", *(f"element {x}" for x in middle), "element 1",
+             *(f"cover 0 {x}" for x in middle), *(f"cover {x} 1" for x in middle),
+             "ortho 0 1", *(f"ortho a{i} b{i}" for i in range(128))]
+    path = tmp_path / "lantern.lat"
+    path.write_text("\n".join(lines) + "\n")
+    code, doc = run(capsys, "classify", str(path), "--dot")
+    assert code == 1  # 128 blocks, past the block cap
+    edges = [line for line in doc["dot"].splitlines() if "->" in line]
+    assert len(edges) == 512
+    assert '  "0" -> "1";' not in edges
+    assert doc["is_modular"] and not doc["is_distributive"]
+
+
 def test_states_relations(capsys):
     code, doc = run(capsys, "states", "l12", "relations")
     assert code == 0

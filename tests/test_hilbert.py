@@ -1,6 +1,7 @@
 """Subspace arithmetic against independent rank oracles, Born-rule
 valuations, and closure of seed projectors into verified lattices."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlprob.classify import classify
+from qlprob.cli import main
 from qlprob.hilbert import (
     DensityMatrix,
     DimensionMismatch,
@@ -293,3 +295,36 @@ def test_born_values_stay_in_range(seed):
     s = random_subspace(d, int(rng.integers(1, d + 1)), rng)
     p = born(rho, s)
     assert 0.0 <= p <= 1.0
+
+
+def test_subspaces_compare_by_identity():
+    """== and hash are by identity, so neither touches the numpy basis;
+    geometric equality is same()."""
+    a = subspace_from_vectors(2, [[1, 0]])
+    b = subspace_from_vectors(2, [[1, 0]])
+    assert a == a and a != b and a.same(b)
+    assert len({a, b, a}) == 2
+
+
+R = 1 / math.sqrt(2)
+
+
+@pytest.mark.parametrize("noise_seed", [0, 1, 2])
+@pytest.mark.parametrize("rays", [[[1, 0], [R, R]],
+                                  [[1, 0, 0], [0, 1, 0], [0, 0, 1], [R, R, 0]]],
+                         ids=["d2", "d3"])
+def test_perturbed_seeds_give_the_same_report(rays, noise_seed, tmp_path, capsys):
+    """Seeds moved by up to 1e-11 in each real and imaginary part close to
+    the same lattice: the hilbert JSON is the same in every key but the
+    printed bases."""
+    rng = RNG(noise_seed)
+    exact = np.array(rays, dtype=np.complex128)
+    noise = rng.uniform(-1, 1, exact.shape) + 1j * rng.uniform(-1, 1, exact.shape)
+    reports = []
+    for vectors in (exact, exact + 1e-11 * noise):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in v] for v in vectors]))
+        assert main(["hilbert", str(path), "--dot", "--scan", "ie"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0].pop("embedding") != reports[1].pop("embedding")
+    assert reports[0] == reports[1]
