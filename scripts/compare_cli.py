@@ -9,6 +9,9 @@ argument list of `python3 -m qlprob`, or, when its first word ends in
 runs from the current directory, once under each tree, with PYTHONPATH
 set to that tree's src/.  Every job whose standard output or exit code
 differs is printed; the exit code is 1 if any job differs, else 0.
+
+The project's job list is scripts/cli_jobs.txt; its header says how to
+write the generated inputs it reads and where to run it from.
 """
 
 from __future__ import annotations

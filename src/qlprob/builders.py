@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from array import array
 
 from .core import (
     CapExceeded,
     Lattice,
     OrthoLattice,
     Poset,
+    _rows,
     attach_ortho,
     build_poset,
     lattice_check,
@@ -25,21 +27,39 @@ def _subset_name(mask: int) -> str:
 def powerset(n: int) -> OrthoLattice:
     """Boolean lattice of all subsets of an n-element set, 1 <= n <= 12.
 
-    Element index equals the subset bitmask, so the tables come straight
-    from bitwise operations; attach_ortho still verifies the negation.
+    Element index equals the subset bitmask, so the order and the tables
+    are built by doubling: the subsets of k + 1 points are those of k
+    points, then the same with point k + 1 added.  attach_ortho still
+    verifies the negation.
     """
     if not 1 <= n <= 12:
         raise CapExceeded(f"powerset supports 1 <= n <= 12, got {n}")
     size = 1 << n
     names = tuple(_subset_name(m) for m in range(size))
-    masks = np.arange(size)
-    leq = (masks[:, None] & masks[None, :]) == masks[:, None]
-    poset = Poset(names=names, leq=leq, bottom=0, top=size - 1)
-    meet_t = (masks[:, None] & masks[None, :]).astype(np.int32)
-    join_t = (masks[:, None] | masks[None, :]).astype(np.int32)
-    lat = Lattice(poset=poset, meet_table=meet_t, join_table=join_t)
+    # table rows are ints packed little-endian, 32 bits an entry, so adding
+    # the point to every entry of a row is one OR
+    up, down, meet, join = [1], [1], [0], [0]
+    for k in range(n):
+        half, width = 1 << k, 32 << k
+        point = int.from_bytes(half.to_bytes(4, "little") * half, "little")
+        up = [u | u << half for u in up] + [u << half for u in up]
+        down = down + [d | d << half for d in down]
+        meet = [r | r << width for r in meet] + [r | (r | point) << width for r in meet]
+        join = ([r | (r | point) << width for r in join]
+                + [(r | point) | (r | point) << width for r in join])
+    poset = Poset(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1)
+    lat = Lattice(poset=poset, meet_table=_unpack(meet, size), join_table=_unpack(join, size))
     full = size - 1
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
+
+
+def _unpack(rows: list[int], size: int) -> tuple[memoryview, ...]:
+    table = array("i")
+    for row in rows:
+        table.frombytes(row.to_bytes(4 * size, "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return _rows(table, size)
 
 
 def firefly_l12() -> OrthoLattice:

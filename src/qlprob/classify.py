@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (
     CapExceeded,
     ComplementLawFails,
@@ -41,35 +39,43 @@ class Witness(NamedTuple):
     elements: tuple[int, ...]
 
 
+def _join_irreducibles(poset: Poset) -> list[int]:
+    """The elements with exactly one lower cover."""
+    return [j for j in range(poset.n) if len(extremal(poset.down[j] ^ 1 << j, poset.up)) == 1]
+
+
 def _join_primes(lattice: Lattice) -> bool:
-    """Every join-irreducible j (one lower cover) is join-prime: the
-    elements not above j have a greatest element, so no join of two of
-    them is above j.  A finite lattice is distributive iff this holds
-    (Davey & Priestley 2002)."""
+    """Every join-irreducible j is join-prime: the elements not above j
+    have a greatest element, so no join of two of them is above j.  A
+    finite lattice is distributive iff this holds (Davey & Priestley
+    2002)."""
     poset = lattice.poset
     everything = (1 << poset.n) - 1
-    for j in range(poset.n):
-        irreducible = len(extremal(poset.down[j] ^ 1 << j, poset.up)) == 1
-        if irreducible and len(extremal(everything ^ poset.up[j], poset.up)) != 1:
-            return False
-    return True
+    return all(len(extremal(everything ^ poset.up[j], poset.up)) == 1
+               for j in _join_irreducibles(poset))
 
 
 def check_distributive(lattice: Lattice) -> Witness | None:
     """x^(yvz) = (x^y)v(x^z) for all triples.  In a lattice this law
     implies its dual (Davey & Priestley 2002), so one law decides.  The
     join-prime test decides it; only when that fails does the triple
-    scan run, for the first witness in index order."""
+    scan run, for the first witness in index order, and only in rows x
+    where a join-irreducible y fails: x ^ - keeps every join once it keeps
+    those with join-irreducibles, and the law is symmetric in y and z."""
     if _join_primes(lattice):
         return None
     M, J = lattice.meet_table, lattice.join_table
+
+    def first_z(mx, y):  # x ^ (y v z) against (x ^ y) v (x ^ z), by z
+        lhs, rhs = list(map(mx.__getitem__, J[y])), list(map(J[mx[y]].__getitem__, mx))
+        return None if lhs == rhs else next(z for z, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+
+    irreducible = _join_irreducibles(lattice.poset)
     for x in range(lattice.n):
-        lhs = M[x][J]                      # lhs[y, z] = x ^ (y v z)
-        rhs = J[M[x][:, None], M[x][None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            y, z = map(int, bad[0])
-            return Witness("distributive", (x, y, z))
+        mx = M[x].tolist()
+        if any(first_z(mx, j) is not None for j in irreducible):
+            y = next(y for y in range(lattice.n) if first_z(mx, y) is not None)
+            return Witness("distributive", (x, y, first_z(mx, y)))
     return None
 
 
@@ -87,7 +93,7 @@ def _semimodular(lattice: Lattice) -> bool:
             members = list(_bits(mask))
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
-                    bound = int(table[a, b])   # a v b (a ^ b in the dual pass)
+                    bound = table[a][b]   # a v b (a ^ b in the dual pass)
                     if not near[a] >> bound & near[b] >> bound & 1:
                         return False
     return True
@@ -99,30 +105,25 @@ def check_modular(lattice: Lattice) -> Witness | None:
     run, for the first witness in index order."""
     if _semimodular(lattice):
         return None
-    n = lattice.n
     M, J = lattice.meet_table, lattice.join_table
-    leq = lattice.poset.leq
-    for x in range(n):
-        lhs = J[x][M]                      # lhs[a, b] = x v (a ^ b)
-        rhs = M[J[x][:, None], np.arange(n)[None, :]]
-        bad = np.argwhere((lhs != rhs) & leq[x][None, :])
-        if len(bad):
-            a, b = map(int, bad[0])
-            return Witness("modular", (x, a, b))
+    for x in range(lattice.n):
+        jx, above = J[x], list(_bits(lattice.poset.up[x]))
+        for a, ma in enumerate(M):
+            rhs = M[jx[a]]
+            for b in above:
+                if jx[ma[b]] != rhs[b]:            # x v (a ^ b) against (x v a) ^ b
+                    return Witness("modular", (x, a, b))
     return None
 
 
 def check_orthomodular(ortho: OrthoLattice) -> Witness | None:
     """Scan all pairs x <= b for x v (neg(x) ^ b) = b."""
-    n = ortho.n
     M, J = ortho.meet_table, ortho.join_table
-    leq = ortho.poset.leq
-    narr = np.array(ortho.neg)
-    for x in range(n):
-        lhs = J[x][M[narr[x]]]             # lhs[b] = x v (neg(x) ^ b)
-        bad = np.flatnonzero((lhs != np.arange(n)) & leq[x])
-        if len(bad):
-            return Witness("orthomodular", (x, int(bad[0])))
+    for x in range(ortho.n):
+        jx, mnx = J[x], M[ortho.neg[x]]
+        for b in _bits(ortho.poset.up[x]):
+            if jx[mnx[b]] != b:
+                return Witness("orthomodular", (x, b))
     return None
 
 
@@ -139,12 +140,11 @@ def require_orthomodular(ortho: OrthoLattice) -> None:
         raise NotOrthomodular(tuple(ortho.names[e] for e in witness.elements))
 
 
-def compatibility_matrix(ortho: OrthoLattice) -> np.ndarray:
-    """C[a, b] true when a = (a^b) v (a^neg(b))."""
-    M, J = ortho.meet_table, ortho.join_table
-    narr = np.array(ortho.neg)
-    recon = J[M, M[:, narr]]               # recon[a, b] = (a^b) v (a^neg(b))
-    return recon == np.arange(ortho.n)[:, None]
+def compatibility_matrix(ortho: OrthoLattice) -> tuple[tuple[bool, ...], ...]:
+    """C[a][b] true when a = (a^b) v (a^neg(b))."""
+    J, neg = ortho.join_table, ortho.neg
+    return tuple(tuple(J[ma[b]][ma[neg[b]]] == a for b in range(ortho.n))
+                 for a, ma in enumerate(ortho.meet_table))
 
 
 def iter_blocks(ortho: OrthoLattice):
@@ -203,7 +203,7 @@ def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
     poset: Poset = structure.poset
     neg = structure.neg
     n = poset.n
-    ortho_mat = [[bool(poset.leq[a, neg[b]]) for b in range(n)] for a in range(n)]
+    ortho_mat = [[poset.le(a, neg[b]) for b in range(n)] for a in range(n)]
 
     nonzero = [x for x in range(n) if x != poset.bottom]
     bad_family: list[int] | None = None
@@ -235,7 +235,7 @@ def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
 
     for x in range(n):
         for b in range(n):
-            if not poset.leq[x, b] or x == b:
+            if not poset.le(x, b) or x == b:
                 continue
             # x v (neg(x) ^ b) = b, each bound unique
             m = extremal(poset.down[neg[x]] & poset.down[b], poset.up)

@@ -15,10 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import builders
-from .core import CapExceeded, LatticeError, NotOrthomodular, OrthoLattice
+from .core import CapExceeded, LatticeError, OrthoLattice
 from .classify import classify, ClassificationReport
 from .io import (
     ParseError,
@@ -30,7 +28,7 @@ from .io import (
     serialize_lattice,
     to_dot,
 )
-from . import funceq, hilbert, states
+from . import states
 
 
 class SourceError(Exception):
@@ -179,6 +177,7 @@ def _load_seeds(path: str) -> list[hilbert.Subspace]:
     """Each entry of the JSON list is one vector (entries as numbers or
     [re, im] pairs) seeding the line it spans; multidimensional seeds
     arise from joins during closure."""
+    from . import hilbert
     data = json.loads(Path(path).read_text())
     if not isinstance(data, list) or not data:
         raise ValueError("seeds JSON must be a nonempty list of vectors")
@@ -193,6 +192,8 @@ def _load_seeds(path: str) -> list[hilbert.Subspace]:
 
 
 def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
+    import numpy as np
+    from . import hilbert
     if spec == "maxmixed":
         return hilbert.max_mixed(d)
     if spec == "random":
@@ -205,11 +206,17 @@ def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
 
 
 def cmd_hilbert(args) -> int:
-    seeds = _load_seeds(args.seeds)
-    d = seeds[0].d
-    ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap or 256)
-    rho = _load_rho(args.rho, d, args.seed)
-    valuation = hilbert.born_valuation(rho, ortho, embedding)
+    from . import hilbert  # numpy loads with it; no exact command needs either
+    try:
+        seeds = _load_seeds(args.seeds)
+        d = seeds[0].d
+        ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap or 256)
+        rho = _load_rho(args.rho, d, args.seed)
+        valuation = hilbert.born_valuation(rho, ortho, embedding)
+    except hilbert.DimensionMismatch as err:
+        return _failure(err, 2)
+    except hilbert.NumericalBreakdown as err:
+        return _failure(err, 1)
     tolerance = args.tolerance if args.tolerance is not None else 1e-8
     report = states.is_state(ortho, valuation, tolerance)
     classification = classify(ortho)
@@ -269,6 +276,7 @@ def cmd_hilbert(args) -> int:
 
 
 def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
+    from . import funceq
     if spec in funceq._BUILTINS:
         return funceq.builtin(spec)
     path = Path(spec)
@@ -286,6 +294,15 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 
 
 def cmd_cox(args) -> int:
+    from .funceq import DomainEscape, TooManySkips  # numpy loads here
+    try:
+        return _cox(args)
+    except (TooManySkips, DomainEscape) as err:
+        return _failure(err, 1)
+
+
+def _cox(args) -> int:
+    from . import funceq
     tolerance = args.tolerance if args.tolerance is not None else 1e-9
     if args.check == "involution":
         rule = _load_rule(args.rule, 1)
@@ -336,6 +353,11 @@ def cmd_cox(args) -> int:
 
 def _emit(payload: dict):
     sys.stdout.write(emit_report(payload) + "\n")
+
+
+def _failure(err: Exception, code: int) -> int:
+    _emit({"error": str(err), "kind": type(err).__name__})
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,22 +416,13 @@ def main(argv=None) -> int:
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be at least 1, not {args.cap}")
         return args.run(args)
-    except (ParseError, SourceError, states.DomainMismatch,
-            hilbert.DimensionMismatch, json.JSONDecodeError, OSError,
-            ValueError, TypeError) as err:
-        _emit({"error": str(err), "kind": type(err).__name__})
-        return 2
-    except NotOrthomodular as err:
-        _emit({"error": str(err), "kind": "NotOrthomodular"})
-        return 2
-    except (states.Infeasible, CapExceeded, states.NotAState,
-            funceq.TooManySkips, funceq.DomainEscape,
-            hilbert.NumericalBreakdown) as err:
-        _emit({"error": str(err), "kind": type(err).__name__})
-        return 1
+    except (ParseError, SourceError, states.DomainMismatch, json.JSONDecodeError,
+            OSError, ValueError, TypeError) as err:
+        return _failure(err, 2)
+    except (states.Infeasible, CapExceeded, states.NotAState) as err:
+        return _failure(err, 1)
     except LatticeError as err:
-        _emit({"error": str(err), "kind": type(err).__name__})
-        return 2
+        return _failure(err, 2)
 
 
 if __name__ == "__main__":

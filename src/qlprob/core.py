@@ -1,24 +1,24 @@
 """Finite bounded posets, lattices and orthocomplemented lattices.
 
 Elements are integer indices into a fixed name table.  Structures are
-built from covering relations (Hasse form); the full order is the
-reflexive-transitive closure.  Meets and joins are found at construction
-time with one bit test per pair over a linear extension, and memoised in
-dense tables, so every later law check is a table lookup.  The types
-form one chain: a Lattice is built on a Poset, and an OrthoLattice is a
-Lattice with a verified negation.  All types are immutable once built.
+built from covering relations (Hasse form); the order, their closure, is
+kept as up- and down-set bitmasks found in one pass in topological
+order.  Meets and joins are found with one bit test per pair over a
+linear extension, and memoised in tables of read-only 4-byte rows,
+table[a][b], so every later law check is a lookup.  A Lattice is built
+on a Poset, and an OrthoLattice is a Lattice with a verified negation.
+All types are immutable once built.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
-# Dense n x n matrices and O(n^3) closure; fine at desk scale, a hard cap
-# keeps accidental blowups out.
+# Two n x n tables of 4-byte entries and n^2 bitmask steps to fill them;
+# fine at desk scale, a hard cap keeps accidental blowups out.
 MAX_ELEMENTS = 4096
 
 
@@ -106,15 +106,13 @@ def extremal(mask: int, cone: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Poset:
-    """A finite bounded poset: name table, dense order matrix, bounds."""
+    """A finite bounded poset: name table, order as bitmasks, bounds."""
 
     names: tuple[str, ...]
-    leq: np.ndarray  # bool, shape (n, n); leq[a, b] means a <= b
+    up: tuple[int, ...]    # bitmask per element a of {c : a <= c}
+    down: tuple[int, ...]  # bitmask per element a of {c : c <= a}
     bottom: int
     top: int
-
-    def __post_init__(self):
-        self.leq.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -125,17 +123,7 @@ class Poset:
         return {name: i for i, name in enumerate(self.names)}
 
     def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
-
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        """Bitmask per element a of {c : c <= a}."""
-        return tuple(_row_masks(self.leq.T))
-
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """Bitmask per element a of {c : a <= c}."""
-        return tuple(_row_masks(self.leq))
+        return bool(self.up[a] >> b & 1)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -143,12 +131,6 @@ class Poset:
         each hi is a minimal element of lo's strict up-set."""
         return tuple((a, b) for a in range(self.n)
                      for b in extremal(self.up[a] ^ 1 << a, self.down))
-
-
-def _row_masks(rows: Iterable[np.ndarray]) -> list[int]:
-    """Each bool row as an int with bit c set where row[c]."""
-    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in rows]
 
 
 def build_poset(
@@ -176,26 +158,38 @@ def build_poset(
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
-    adj = np.zeros((n, n), dtype=bool)
+    above, below = [[] for _ in range(n)], [[] for _ in range(n)]  # covers of each
     for lo, hi in covering_pairs:
         if lo not in index or hi not in index:
             missing = lo if lo not in index else hi
             raise ValueError(f"cover references undeclared element {missing!r}")
         if lo == hi:
             raise ValueError(f"self-cover on element {lo!r}")
-        adj[index[lo], index[hi]] = True
+        above[index[lo]].append(index[hi])
+        below[index[hi]].append(index[lo])
 
-    leq = adj | np.eye(n, dtype=bool)
-    for k in range(n):
-        leq |= np.outer(leq[:, k], leq[k, :])
-
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        a, b = map(int, np.argwhere(sym)[0])
+    # Kahn's topological order; each closure is one pass along it
+    indegree = [len(lower) for lower in below]
+    order = [a for a in range(n) if not indegree[a]]
+    for a in order:
+        for c in above[a]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                order.append(c)
+    if len(order) < n:
+        a, b = _first_cycle_pair(above)
         raise CycleDetected((names[a], names[b]))
+    up, down = [1 << a for a in range(n)], [1 << a for a in range(n)]
+    for a in reversed(order):
+        for c in above[a]:
+            up[a] |= up[c]
+    for a in order:
+        for c in below[a]:
+            down[a] |= down[c]
 
-    bottom_candidates = np.flatnonzero(leq.all(axis=1))
-    top_candidates = np.flatnonzero(leq.all(axis=0))
+    everything = (1 << n) - 1
+    bottom_candidates = [a for a in range(n) if up[a] == everything]
+    top_candidates = [a for a in range(n) if down[a] == everything]
     if bottom is not None:
         if bottom not in index:
             raise ValueError(f"declared bottom {bottom!r} is not an element")
@@ -203,7 +197,7 @@ def build_poset(
         if bot not in bottom_candidates:
             raise NotBounded(f"declared bottom {bottom!r} is not below every element")
     elif len(bottom_candidates) == 1:
-        bot = int(bottom_candidates[0])
+        bot = bottom_candidates[0]
     else:
         raise NotBounded("poset has no global lower bound")
     if top is not None:
@@ -213,25 +207,33 @@ def build_poset(
         if tp not in top_candidates:
             raise NotBounded(f"declared top {top!r} is not above every element")
     elif len(top_candidates) == 1:
-        tp = int(top_candidates[0])
+        tp = top_candidates[0]
     else:
         raise NotBounded("poset has no global upper bound")
     if bot == tp:
         raise NotBounded("top and bottom coincide; the one-element theory is rejected")
-    return Poset(names=names, leq=leq, bottom=bot, top=tp)
+    return Poset(names=names, up=tuple(up), down=tuple(down), bottom=bot, top=tp)
+
+
+def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:
+    """The first pair a != b, row-major, with a <= b <= a in the closure of
+    a cyclic relation: with no topological order, up-sets grow by sweeps."""
+    n, up, last = len(above), [1 << a for a in range(len(above))], None
+    while up != last:
+        last = up[:]
+        for a in reversed(range(n)):
+            for c in above[a]:
+                up[a] |= up[c]
+    return next((a, b) for a in range(n) for b in _bits(up[a] ^ 1 << a) if up[b] >> a & 1)
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A poset with memoised meet and join tables."""
+    """A poset with memoised meet and join tables, indexed table[a][b]."""
 
     poset: Poset
-    meet_table: np.ndarray  # int32, shape (n, n)
-    join_table: np.ndarray
-
-    def __post_init__(self):
-        self.meet_table.setflags(write=False)
-        self.join_table.setflags(write=False)
+    meet_table: tuple[memoryview, ...]  # read-only rows of 4-byte ints
+    join_table: tuple[memoryview, ...]
 
     @property
     def n(self) -> int:
@@ -257,10 +259,10 @@ class Lattice:
         return self.poset.le(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return int(self.meet_table[a, b])
+        return self.meet_table[a][b]
 
     def join(self, a: int, b: int) -> int:
-        return int(self.join_table[a, b])
+        return self.join_table[a][b]
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -314,10 +316,9 @@ def lattice_check(poset: Poset) -> Lattice:
     up_size = [u.bit_count() for u in poset.up]
     order = sorted(range(n), key=down_size.__getitem__)
     # by element, with bit p set for the element at position p
-    down = _row_masks(poset.leq[order].T)
-    up = _row_masks(poset.leq[:, order])
-    meet_t = np.zeros((n, n), dtype=np.int32)
-    join_t = np.zeros((n, n), dtype=np.int32)
+    down = _transpose([poset.up[e] for e in order], n)
+    up = _transpose([poset.down[e] for e in order], n)
+    meet_t, join_t = array("i", [0]) * (n * n), array("i", [0]) * (n * n)
     for a in range(n):
         lows = [down[a] & d for d in down[a:]]
         highs = [up[a] & u for u in up[a:]]
@@ -332,9 +333,21 @@ def lattice_check(poset: Poset) -> Lattice:
             minimal = extremal(poset.up[a] & poset.up[b], poset.down)
             kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
             raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
-        meet_t[a, a:] = meet_t[a:, a] = meets
-        join_t[a, a:] = join_t[a:, a] = joins
-    return Lattice(poset=poset, meet_table=meet_t, join_table=join_t)
+        for table, row in ((meet_t, array("i", meets)), (join_t, array("i", joins))):
+            table[a * n + a:(a + 1) * n] = table[a * n + a::n] = row  # row a and column a
+    return Lattice(poset=poset, meet_table=_rows(meet_t, n), join_table=_rows(join_t, n))
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """Bit matrix transpose: bit p of column c is bit c of rows[p]."""
+    digits = [format(row, f"0{n}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+
+
+def _rows(table: array, n: int) -> tuple[memoryview, ...]:
+    """Read-only views of the n rows of a flat n * n table."""
+    view = memoryview(table).toreadonly()
+    return tuple(view[a * n:(a + 1) * n] for a in range(n))
 
 
 def _resolve(poset: Poset, token) -> int:
@@ -395,14 +408,11 @@ def _build_negation(poset: Poset, neg_pairs) -> tuple[int, ...]:
     if fixed:
         # A fixed point a = neg(a) forces a v neg(a) = a < top.
         raise ComplementLawFails([(name, "fixed point of negation") for name in fixed])
-    # involution holds by the symmetric reading; contradictions were caught above
-    narr = np.array(neg)
-    viol = poset.leq & ~poset.leq[np.ix_(narr, narr)].T
-    if viol.any():
-        witnesses = [
-            (poset.names[int(a)], poset.names[int(b)]) for a, b in np.argwhere(viol)
-        ]
-        raise NotOrderReversing(witnesses)
+    # involution holds by the symmetric reading; contradictions were caught
+    # above.  Reversal on the covers gives it on their closure, the order.
+    if not all(poset.le(neg[b], neg[a]) for a, b in poset.covers):
+        raise NotOrderReversing([(poset.names[a], poset.names[b]) for a in range(n)
+                                 for b in _bits(poset.up[a]) if not poset.le(neg[b], neg[a])])
     return tuple(neg)
 
 
@@ -415,12 +425,11 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
     violating instance of the first failing axiom.
     """
     neg = _build_negation(lattice.poset, neg_pairs)
-    idx, narr = np.arange(lattice.n), np.array(neg)
-    bad_join = np.flatnonzero(lattice.join_table[idx, narr] != lattice.top)
-    bad_meet = np.flatnonzero(lattice.meet_table[idx, narr] != lattice.bottom)
-    if len(bad_join) or len(bad_meet):
-        witnesses = [(lattice.names[int(a)], "a v neg(a) != top") for a in bad_join]
-        witnesses += [(lattice.names[int(a)], "a ^ neg(a) != bottom") for a in bad_meet]
+    bad_join = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
+    bad_meet = [a for a in range(lattice.n) if lattice.meet(a, neg[a]) != lattice.bottom]
+    if bad_join or bad_meet:
+        witnesses = [(lattice.names[a], "a v neg(a) != top") for a in bad_join]
+        witnesses += [(lattice.names[a], "a ^ neg(a) != bottom") for a in bad_meet]
         raise ComplementLawFails(witnesses)
     return OrthoLattice(
         poset=lattice.poset,

@@ -21,11 +21,13 @@ skipped and counted instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 DOMAIN_SLACK = 1e-12
+MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
 
 
 class DomainEscape(Exception):
@@ -278,13 +280,10 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     while rulers[-1] - f.lo > 1e-14 * max(1.0, f.hi - f.lo) and len(rulers) < 60:
         rulers.append(_bisect_diagonal(f, rulers[-1], f.lo, rulers[-1]))
 
-    cache: dict[float, float] = {}
-
+    @lru_cache(maxsize=MEASURE_CACHE)
     def measure(x: float) -> float:
         if x < f.lo - DOMAIN_SLACK or x > f.hi + DOMAIN_SLACK:
             raise DomainEscape(x)
-        if x in cache:
-            return cache[x]
         total = 0.0
         position = f.lo
         for level, tick in enumerate(rulers):
@@ -295,7 +294,6 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
                     break
                 position = step
                 total += weight
-        cache[x] = total
         return total
 
     def unmeasure(t: float) -> float:

@@ -295,7 +295,7 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     strict = leq & ~np.eye(n, dtype=bool)
     poset = build_poset(names, [(names[i], names[j]) for i, j in np.argwhere(strict)],
                         bottom="0", top="1")
-    if not np.array_equal(poset.leq, leq):
+    if poset.up != tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq):
         raise NumericalBreakdown("subspace inclusion order is not transitive")
     lattice = lattice_check(poset)
     pairs = []

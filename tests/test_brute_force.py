@@ -1,19 +1,31 @@
 """Meet and join tables, NotALattice reports and the distributive and
 modular checks against plain reference scans, on random lattices and on
-random bounded posets that are mostly not lattices.
+random bounded posets that are mostly not lattices; and the order that
+build_poset closes, its cycle and bound reports and the order-reversal
+check of a negation, against the dense-matrix code they replaced.
 
 The references are the bound search and the triple scans as they were
 before the decide-first tests: every pair's extremal bounds, and every
-triple of the law, in index order."""
+triple of the law, in index order.  The order references are the
+closure by n outer products and the all-pairs reversal test."""
 
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qlprob.classify import check_distributive, check_modular
-from qlprob.core import NotALattice, build_poset, extremal, lattice_check
+from qlprob.core import (
+    CycleDetected,
+    NotALattice,
+    NotBounded,
+    NotOrderReversing,
+    _build_negation,
+    build_poset,
+    extremal,
+    lattice_check,
+)
 
 
 def reference_tables(poset):
@@ -31,21 +43,21 @@ def reference_tables(poset):
                 raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
             meet_t[a, b] = meet_t[b, a] = maximal[0]
             join_t[a, b] = join_t[b, a] = minimal[0]
-    return meet_t, join_t
+    return meet_t.tolist(), join_t.tolist()
 
 
 def reference_distributive(lattice):
     M, J = lattice.meet_table, lattice.join_table
     for x, y, z in product(range(lattice.n), repeat=3):
-        if M[x, J[y, z]] != J[M[x, y], M[x, z]]:
+        if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
             return ("distributive", (x, y, z))
     return None
 
 
 def reference_modular(lattice):
-    M, J, leq = lattice.meet_table, lattice.join_table, lattice.poset.leq
+    M, J, le = lattice.meet_table, lattice.join_table, lattice.poset.le
     for x, a, b in product(range(lattice.n), repeat=3):
-        if leq[x, b] and J[x, M[a, b]] != M[J[x, a], b]:
+        if le(x, b) and J[x][M[a][b]] != M[J[x][a]][b]:
             return ("modular", (x, a, b))
     return None
 
@@ -164,8 +176,8 @@ def assert_agrees(poset):
         assert str(got.value) == str(exc)
         return "not a lattice"
     lattice = lattice_check(poset)
-    assert np.array_equal(lattice.meet_table, want[0])
-    assert np.array_equal(lattice.join_table, want[1])
+    assert [row.tolist() for row in lattice.meet_table] == want[0]
+    assert [row.tolist() for row in lattice.join_table] == want[1]
     dist, mod = check_distributive(lattice), check_modular(lattice)
     assert (dist and tuple(dist)) == reference_distributive(lattice)
     assert (mod and tuple(mod)) == reference_modular(lattice)
@@ -196,3 +208,164 @@ def test_every_outcome_is_reached():
     n5 = poset_from_order(list(N5[0]), _small_le(N5), rng)
     outcomes = [assert_agrees(p) for p in (bowtie, chain, m3, n5)]
     assert outcomes == ["not a lattice", "distributive", "modular", "not modular"]
+
+
+def reference_order(names, pairs):
+    """The closure as build_poset computed it before: the dense matrix,
+    closed with one outer product per element."""
+    index = {name: i for i, name in enumerate(names)}
+    leq = np.eye(len(names), dtype=bool)
+    for lo, hi in pairs:
+        leq[index[lo], index[hi]] = True
+    for k in range(len(names)):
+        leq |= np.outer(leq[:, k], leq[k, :])
+    return leq
+
+
+def _masks(rows):
+    return tuple(sum(1 << int(c) for c in np.flatnonzero(row)) for row in rows)
+
+
+def reference_poset(names, pairs):
+    """What the dense closure gave: (up masks, down masks, bottom, top),
+    or the class and the pair or message of the error it raised."""
+    leq = reference_order(names, pairs)
+    cycles = leq & leq.T & ~np.eye(len(names), dtype=bool)
+    if cycles.any():
+        a, b = map(int, np.argwhere(cycles)[0])
+        return CycleDetected, (names[a], names[b])
+    bottoms, tops = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+    if len(bottoms) != 1:
+        return NotBounded, "poset has no global lower bound"
+    if len(tops) != 1:
+        return NotBounded, "poset has no global upper bound"
+    return _masks(leq), _masks(leq.T), int(bottoms[0]), int(tops[0])
+
+
+def built_poset(names, pairs):
+    """build_poset's result in the form of reference_poset."""
+    try:
+        poset = build_poset(names, pairs)
+    except CycleDetected as exc:
+        return CycleDetected, exc.pair
+    except NotBounded as exc:
+        return NotBounded, str(exc)
+    return poset.up, poset.down, poset.bottom, poset.top
+
+
+def reference_reversal(poset, neg):
+    """The pairs a <= b with neg(b) not below neg(a), in row-major order,
+    as the dense all-pairs test listed them."""
+    leq = np.array([[poset.le(a, b) for b in range(poset.n)] for a in range(poset.n)])
+    narr = np.array(neg)
+    viol = leq & ~leq[np.ix_(narr, narr)].T
+    return [(poset.names[a], poset.names[b]) for a, b in np.argwhere(viol).tolist()]
+
+
+@st.composite
+def cover_lines(draw, bounds=("both",)):
+    """Cover lines of a random DAG on 2 to 12 points, with a random share
+    of the pairs its edges imply added as redundant lines; names and
+    lines in shuffled order.  With bounds "both" a bottom and a top are
+    added; "no-bottom" adds two extra minimal points and a top, and
+    "no-top" two extra maximal points and a bottom."""
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.4]))
+    edges = {(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < density}
+    reach = {i: {i} for i in range(m)}
+    for i in reversed(range(m)):
+        for a, j in edges:
+            if a == i:
+                reach[i] |= reach[j]
+    implied = sorted((i, j) for i in range(m) for j in reach[i] if j != i)
+    edges |= {pair for pair in implied if rng.random() < 0.5}
+    names = [f"p{i}" for i in range(m)]
+    pairs = [(names[i], names[j]) for i, j in sorted(edges)]
+    kind = draw(st.sampled_from(bounds))
+    low = ["u", "v"] if kind == "no-bottom" else ["bot"]
+    high = ["s", "t"] if kind == "no-top" else ["top"]
+    for lo in low:
+        pairs += [(lo, p) for p in names if kind != "no-bottom" or rng.random() < 0.5]
+    for hi in high:
+        pairs += [(p, hi) for p in names if kind != "no-top" or rng.random() < 0.5]
+    names += low + high
+    pairs += [(lo, hi) for lo in low for hi in high]
+    return ([names[i] for i in rng.permutation(len(names))],
+            [pairs[i] for i in rng.permutation(len(pairs))])
+
+
+@st.composite
+def cyclic_lines(draw):
+    """Cover lines of a random digraph on 3 to 10 points with a planted
+    cycle through 2 to 5 of them, and random edges both ways."""
+    m = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cycle = rng.permutation(m)[:draw(st.integers(2, min(5, m)))].tolist()
+    edges = {(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    edges |= {(i, j) for i in range(m) for j in range(m) if i != j and rng.random() < 0.15}
+    names = [f"p{i}" for i in rng.permutation(m)]
+    pairs = [(names[i], names[j]) for i, j in edges]
+    return names, [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=cover_lines())
+def test_closure_with_redundant_lines_agrees_with_the_dense_closure(lines):
+    got = built_poset(*lines)
+    assert got == reference_poset(*lines)
+    assert got[0] is not CycleDetected and got[0] is not NotBounded
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=cyclic_lines())
+def test_cycles_report_the_dense_closure_pair(lines):
+    got = built_poset(*lines)
+    assert got == reference_poset(*lines)
+    assert got[0] is CycleDetected
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=cover_lines(bounds=("no-bottom", "no-top")))
+def test_two_minima_or_maxima_report_the_dense_closure_message(lines):
+    got = built_poset(*lines)
+    assert got == reference_poset(*lines)
+    assert got[0] is NotBounded
+
+
+@st.composite
+def involutions(draw):
+    """A poset with an even number of elements and pairs naming a
+    fixed-point-free involution on it: a Boolean lattice 2^k in shuffled
+    order with its complement, which reverses the order, or with a
+    random pairing; or a random bounded DAG with a random pairing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        elements = rng.permutation(1 << draw(st.integers(1, 3))).tolist()
+        names = [f"e{i}" for i in range(len(elements))]
+        poset = build_poset(names, [(names[i], names[j]) for i, x in enumerate(elements)
+                                    for j, y in enumerate(elements) if x != y and _subset(x, y)])
+        if draw(st.booleans()):
+            full = len(elements) - 1
+            return poset, [(i, elements.index(x ^ full)) for i, x in enumerate(elements)]
+    else:
+        poset = build_poset(*draw(cover_lines()))
+        assume(poset.n % 2 == 0)
+    order = rng.permutation(poset.n).tolist()
+    return poset, list(zip(order[::2], order[1::2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=involutions())
+def test_negation_reversal_agrees_with_the_all_pairs_check(case):
+    poset, pairs = case
+    neg = [0] * poset.n
+    for a, b in pairs:
+        neg[a], neg[b] = b, a
+    want = reference_reversal(poset, neg)
+    if want:
+        with pytest.raises(NotOrderReversing) as got:
+            _build_negation(poset, pairs)
+        assert list(got.value.witnesses) == want
+    else:
+        assert _build_negation(poset, pairs) == tuple(neg)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qlprob.funceq import (
+    MEASURE_CACHE,
     CoxFunction,
     DomainEscape,
     NotRegraduable,
@@ -151,6 +152,17 @@ def test_additive_conjugate_is_associative():
     assert report.passed
     assert report.skipped == 0
     assert report.max_residual < 1e-10
+
+
+def test_measure_cache_is_bounded():
+    """w keeps at most MEASURE_CACHE values however many points it is
+    asked for, and a value recomputed after eviction is the same."""
+    w = regraduate(builtin("sumprod")).w
+    first = w(0.3)
+    for k in range(5001):
+        w(k / 5000)
+    assert w.fn.cache_info().currsize <= MEASURE_CACHE < 5001
+    assert w(0.3) == first
 
 
 def test_ruler_replay_inverse():

@@ -39,7 +39,7 @@ def test_shipped_l12_matches_builder(l12):
     parsed = lattice_from_document(doc)
     assert parsed.names == l12.names
     assert parsed.neg == l12.neg
-    assert (parsed.meet_table == l12.meet_table).all()
+    assert parsed.meet_table == l12.meet_table
 
 
 def test_parse_reports_line_numbers():
