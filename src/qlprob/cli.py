@@ -206,7 +206,7 @@ def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
 
 
 def cmd_hilbert(args) -> int:
-    from . import hilbert  # numpy loads with it; no exact command needs either
+    from . import hilbert  # numpy loads with it; no other command needs either
     try:
         seeds = _load_seeds(args.seeds)
         d = seeds[0].d
@@ -294,7 +294,7 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 
 
 def cmd_cox(args) -> int:
-    from .funceq import DomainEscape, TooManySkips  # numpy loads here
+    from .funceq import DomainEscape, TooManySkips
     try:
         return _cox(args)
     except (TooManySkips, DomainEscape) as err:

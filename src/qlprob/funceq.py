@@ -20,11 +20,10 @@ skipped and counted instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 DOMAIN_SLACK = 1e-12
 MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
@@ -94,18 +93,30 @@ def builtin(name: str, lo: float = 0.0, hi: float = 1.0) -> CoxFunction:
     return CoxFunction(arity=arity, lo=lo, hi=hi, fn=fn, total=True, label=name)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) in plain floats, bit for bit."""
+    return [i * ((hi - lo) / (n - 1)) + lo for i in range(n - 1)] + [float(hi)] if n > 1 else [float(lo)] * n
+
+
+def _interp(x: float, xs: list[float], ys: list[float]) -> float:
+    """np.interp(x, xs, ys) at one point, bit for bit."""
+    j = bisect_right(xs, x) - 1
+    if x != x or j < 0 or j == len(xs) - 1 or xs[j] == x:  # NaN, past an end, or a knot
+        return x if x != x else ys[max(j, 0)]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
+
+
 def from_samples_unary(points, lo=None, hi=None) -> CoxFunction:
     """Piecewise-linear rule through (x, g(x)) samples."""
     pts = sorted((float(x), float(y)) for x, y in points)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("need at least two samples with distinct increasing x")
     lo = xs[0] if lo is None else lo
     hi = xs[-1] if hi is None else hi
     return CoxFunction(
         arity=1, lo=float(lo), hi=float(hi),
-        fn=lambda x: float(np.interp(x, xs, ys)),
+        fn=lambda x: _interp(x, xs, ys),
         total=False, label="samples",
     )
 
@@ -117,19 +128,18 @@ def from_samples_binary(points, lo=None, hi=None) -> CoxFunction:
     table = {(float(x), float(y)): float(v) for x, y, v in points}
     if len(table) != len(xs) * len(ys):
         raise ValueError("samples must cover a full rectangular grid")
-    grid = np.array([[table[(x, y)] for y in ys] for x in xs])
-    xa, ya = np.array(xs), np.array(ys)
+    grid = [[table[(x, y)] for y in ys] for x in xs]
 
     def interp(x, y):
-        i = min(max(int(np.searchsorted(xa, x) - 1), 0), len(xa) - 2)
-        j = min(max(int(np.searchsorted(ya, y) - 1), 0), len(ya) - 2)
-        tx = (x - xa[i]) / (xa[i + 1] - xa[i])
-        ty = (y - ya[j]) / (ya[j + 1] - ya[j])
+        i = min(max(bisect_left(xs, x) - 1, 0), len(xs) - 2)
+        j = min(max(bisect_left(ys, y) - 1, 0), len(ys) - 2)
+        tx = (x - xs[i]) / (xs[i + 1] - xs[i])
+        ty = (y - ys[j]) / (ys[j + 1] - ys[j])
         return (
-            grid[i, j] * (1 - tx) * (1 - ty)
-            + grid[i + 1, j] * tx * (1 - ty)
-            + grid[i, j + 1] * (1 - tx) * ty
-            + grid[i + 1, j + 1] * tx * ty
+            grid[i][j] * (1 - tx) * (1 - ty)
+            + grid[i + 1][j] * tx * (1 - ty)
+            + grid[i][j + 1] * (1 - tx) * ty
+            + grid[i + 1][j + 1] * tx * ty
         )
 
     lo = min(xs[0], ys[0]) if lo is None else lo
@@ -152,19 +162,19 @@ def check_involution(g: CoxFunction, grid_size: int = 33, tolerance: float = 1e-
     into itself; a point sent outside raises DomainEscape."""
     if g.arity != 1:
         raise TypeError("involution check needs a unary rule")
-    grid = np.linspace(g.lo, g.hi, grid_size)
+    grid = _linspace(g.lo, g.hi, grid_size)
     worst = -1.0
     worst_x = g.lo
     identity_gap = 0.0
     for x in grid:
-        gx = g(float(x))
+        gx = g(x)
         if gx < g.lo - DOMAIN_SLACK or gx > g.hi + DOMAIN_SLACK:
-            raise DomainEscape(float(x))
+            raise DomainEscape(x)
         residual = abs(g(gx) - x)
         identity_gap = max(identity_gap, abs(gx - x))
         if residual > worst:
             worst = residual
-            worst_x = float(x)
+            worst_x = x
     return InvolutionReport(
         passed=bool(worst <= tolerance),
         max_residual=float(worst),
@@ -188,7 +198,7 @@ def check_associativity(f: CoxFunction, grid_size: int = 33, tolerance: float = 
     skipped aborts with TooManySkips."""
     if f.arity != 2:
         raise TypeError("associativity check needs a binary rule")
-    grid = [float(x) for x in np.linspace(f.lo, f.hi, grid_size)]
+    grid = _linspace(f.lo, f.hi, grid_size)
     worst = -1.0
     worst_triple = None
     evaluated = 0
@@ -259,17 +269,14 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     would pass t, and never past hi."""
     if f.arity != 2:
         raise TypeError("regraduation needs a binary rule")
-    grid = [float(x) for x in np.linspace(f.lo, f.hi, grid_size)]
+    grid = _linspace(f.lo, f.hi, grid_size)
     for y in grid:
         along_x = [f(x, y) for x in grid]
         along_y = [f(y, x) for x in grid]
         for series in (along_x, along_y):
-            gaps = np.diff(series)
-            if gaps.min() <= 0:
-                at = grid[int(gaps.argmin())]
-                raise NotRegraduable(
-                    "non-monotone", f"flat or decreasing near ({at:g}, {y:g})"
-                )
+            k = min(range(len(grid) - 1), key=lambda k: series[k + 1] - series[k])  # first minimum
+            if series[k + 1] - series[k] <= 0:
+                raise NotRegraduable("non-monotone", f"flat or decreasing near ({grid[k]:g}, {y:g})")
     if abs(f(f.lo, f.lo) - f.lo) > 1e-9:
         raise NotRegraduable(
             "no-additive-zero", f"f({f.lo:g}, {f.lo:g}) = {f(f.lo, f.lo):g}"

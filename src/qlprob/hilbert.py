@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .states import Valuation
 ORTHONORMAL_TOL = 1e-10
 EQUALITY_TOL = 1e-8
 MAX_DIMENSION = 8
+PAIR_CHUNK = 16  # closure pairs per batch of stacked SVDs; bounds the batch's memory
 
 
 class DimensionMismatch(Exception):
@@ -79,6 +81,26 @@ class Subspace:
         return np.linalg.norm(p @ q - q) < EQUALITY_TOL
 
 
+def _svd_bases(mats: np.ndarray, widths: list[int], complement: bool = False):
+    """One SVD per width w of the first w columns of each matrix: thin for the
+    span, ranked against ORTHONORMAL_TOL times the largest singular value, or
+    full for the complement of an orthonormal basis (the last d − w left
+    singular vectors).  Returns (m, d, d) bases, zero past each rank, and ranks."""
+    d = mats.shape[1]
+    bases, ranks = np.zeros((len(mats), d, d), dtype=np.complex128), list(widths)
+    for w in set(widths):
+        rows = [t for t, v in enumerate(widths) if v == w]
+        u, sigma, _ = np.linalg.svd(mats[rows, :, :w], full_matrices=complement)
+        gap = u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[2])  # Subspace's test, on all of u
+        if not (np.abs(gap) <= ORTHONORMAL_TOL).all():
+            raise ValueError("basis columns are not orthonormal")
+        kept = np.count_nonzero(sigma > ORTHONORMAL_TOL * sigma[:, :1], axis=1).tolist()
+        for a, t in enumerate(rows):
+            columns = u[a, :, w:] if complement else u[a, :, :kept[a]]
+            bases[t, :, :columns.shape[1]], ranks[t] = columns, columns.shape[1]
+    return bases, ranks
+
+
 def subspace_from_vectors(d: int, vectors) -> Subspace:
     """Orthonormalize a spanning set; rank from singular values against
     1e-10 times the largest."""
@@ -87,14 +109,8 @@ def subspace_from_vectors(d: int, vectors) -> Subspace:
     for v in vecs:
         if v.shape[0] != d:
             raise DimensionMismatch(f"vector of length {v.shape[0]} in dimension {d}")
-    if not vecs:
-        return Subspace(d, np.zeros((d, 0), dtype=np.complex128))
-    matrix = np.column_stack(vecs)
-    u, sigma, _ = np.linalg.svd(matrix, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0:
-        return Subspace(d, np.zeros((d, 0), dtype=np.complex128))
-    rank = int(np.sum(sigma > ORTHONORMAL_TOL * sigma[0]))
-    return Subspace(d, u[:, :rank].copy())
+    bases, ranks = _svd_bases(np.array(vecs, dtype=np.complex128).reshape(-1, d).T[None], [len(vecs)])
+    return Subspace(d, bases[0, :, :ranks[0]].copy())
 
 
 def null_subspace(d: int) -> Subspace:
@@ -109,21 +125,14 @@ def full_subspace(d: int) -> Subspace:
 
 def ortho_s(a: Subspace) -> Subspace:
     """Orthogonal complement via the full singular basis."""
-    if a.dim == 0:
-        return full_subspace(a.d)
-    if a.dim == a.d:
-        return null_subspace(a.d)
-    u, _, _ = np.linalg.svd(a.basis, full_matrices=True)
-    return Subspace(a.d, u[:, a.dim:].copy())
+    bases, dims = _svd_bases(a.basis[None], [a.dim], complement=True)
+    return Subspace(a.d, bases[0, :, :dims[0]].copy())
 
 
 def join_s(a: Subspace, b: Subspace) -> Subspace:
     if a.d != b.d:
         raise DimensionMismatch(f"{a.d} vs {b.d}")
-    columns = [a.basis[:, i] for i in range(a.dim)] + [
-        b.basis[:, i] for i in range(b.dim)
-    ]
-    return subspace_from_vectors(a.d, columns)
+    return subspace_from_vectors(a.d, [*a.basis.T, *b.basis.T])
 
 
 def meet_s(a: Subspace, b: Subspace) -> Subspace:
@@ -227,15 +236,33 @@ def _first_within(stack: np.ndarray, p: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _pair_candidates(i, j, bases, dims, cobases, codims):
+    """meet(i[t], j[t]) and join(i[t], j[t]), as candidates 2t and 2t + 1, with
+    the arithmetic of meet_s and join_s on padded bases and dimensions."""
+    def join(bases, dims):  # j's columns follow i's
+        d = bases.shape[1]
+        mats = np.zeros((len(i), d, 2 * d), dtype=np.complex128)
+        mats[:, :, :d] = bases[i]
+        for k in set(dims[a] for a in i):
+            rows = [t for t, a in enumerate(i) if dims[a] == k]
+            mats[rows, :, k:k + d] = bases[[j[t] for t in rows]]
+        return _svd_bases(mats, [dims[a] + dims[b] for a, b in zip(i, j)])
+
+    meets, joins = _svd_bases(*join(cobases, codims), complement=True), join(bases, dims)
+    bases = np.stack((meets[0], joins[0]), axis=1).reshape(2 * len(i), *meets[0].shape[1:])
+    return bases, [r for pair in zip(meets[1], joins[1]) for r in pair]
+
+
 def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subspace, ...]]:
     """Close the seeds under meet, join, and complement, then rebuild
     the result as a verified abstract ortholattice.
 
     Returns the lattice together with the element-indexed subspace
     embedding.  Closure is breadth-first, deduplicated against the
-    first element within EQUALITY_TOL; each complement is computed once
-    and serves the meets too.  Element order is by (dimension,
-    projector entries), which keeps runs deterministic."""
+    first element within EQUALITY_TOL; each round's pairs are batched
+    into stacked SVDs, and each complement is computed once and serves
+    the meets too.  Element order is by (dimension, projector entries),
+    which keeps runs deterministic."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed subspace required")
@@ -246,43 +273,49 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
 
     elements: list[Subspace] = []
     perps: list[Subspace] = []  # ortho_s(elements[i])
-    stack = np.empty((16, d, d), dtype=np.complex128)  # projectors of elements
+    store = np.zeros((16, 3, d, d), dtype=np.complex128)  # projector, zero-padded basis and perp's
 
     def keep(s: Subspace):
-        nonlocal stack
-        if len(elements) == len(stack):
-            stack = np.concatenate([stack, np.empty_like(stack)])
-        stack[len(elements)] = s.projector()
+        nonlocal store
+        if len(elements) == len(store):
+            store = np.concatenate([store, np.zeros_like(store)])
+        perp, n = ortho_s(s), len(elements)
+        store[n, 0], store[n, 1, :, :s.dim], store[n, 2, :, :perp.dim] = s.projector(), s.basis, perp.basis
         elements.append(s)
-        perps.append(ortho_s(s))
+        perps.append(perp)
 
-    def add(s: Subspace):
-        if _first_within(stack[:len(elements)], s.projector()) is None:
-            keep(s)
-            if len(elements) > cap:
-                raise CapExceeded(f"hilbert closure reached {len(elements)} subspaces, cap {cap}")
+    def add(projectors, build):
+        """Keep each candidate in turn unless an element lies within EQUALITY_TOL."""
+        for u, p in enumerate(projectors):
+            if _first_within(store[:len(elements), 0], p) is None:
+                keep(build(u))
+                if len(elements) > cap:
+                    raise CapExceeded(f"hilbert closure reached {len(elements)} subspaces, cap {cap}")
 
     keep(null_subspace(d))
     keep(full_subspace(d))
-    for s in seeds:
-        add(s)
+    add([s.projector() for s in seeds], seeds.__getitem__)
     # every round's frontier is the run of elements the round before added
     frontier = range(len(elements))
     while frontier:
         start = len(elements)
-        for i in frontier:
-            add(perps[i])
-        snapshot = len(elements)
-        for i in range(snapshot):
-            for j in range(i + 1, snapshot):
-                if i in frontier or j in frontier:
-                    add(ortho_s(join_s(perps[i], perps[j])))
-                    add(join_s(elements[i], elements[j]))
+        add([perps[i].projector() for i in frontier], lambda u: perps[frontier[u]])
+        n = len(elements)
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if i in frontier or j in frontier)
+        dims = [s.dim for s in elements]
+        while chunk := list(islice(pairs, PAIR_CHUNK)):
+            i, j = map(list, zip(*chunk))
+            bases, ranks = _pair_candidates(i, j, store[:n, 1], dims, store[:n, 2], [d - k for k in dims])
+            # rank 0 is element 0; a rank-d basis passed the orthonormality test, so its
+            # projector lies within d * ORTHONORMAL_TOL < EQUALITY_TOL of element 1
+            live = [u for u, r in enumerate(ranks) if 0 < r < d]
+            add(bases[live] @ bases[live].conj().transpose(0, 2, 1),
+                lambda u: Subspace(d, bases[live[u], :, :ranks[live[u]]].copy()))
         frontier = range(start, len(elements))
 
     order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
     ordered = [elements[i] for i in order]
-    projectors = stack[order]
+    projectors = store[order, 0]
     n = len(ordered)
     names = ["0"] + [f"s{i}" for i in range(1, n - 1)] + ["1"]
 

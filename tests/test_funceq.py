@@ -6,16 +6,19 @@ becomes addition, so the normalized regraduation must agree with
 ln(1 + x) / ln(1 + x1) at every grid point (x1 the anchor)."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qlprob.funceq import (
+    DOMAIN_SLACK,
     MEASURE_CACHE,
     CoxFunction,
     DomainEscape,
     NotRegraduable,
     TooManySkips,
+    _linspace,
     additive_conjugate,
     builtin,
     check_associativity,
@@ -218,3 +221,62 @@ def test_sampled_rule_guards_its_domain():
 def test_binary_samples_need_full_grid():
     with pytest.raises(ValueError):
         from_samples_binary([(0, 0, 0), (1, 1, 1)])
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def probes(knots, rng):
+    """Every knot, a random point inside each cell, the cell midpoints,
+    and the edges with the DOMAIN_SLACK band on both sides."""
+    lo, hi = knots[0], knots[-1]
+    inside = [a + (b - a) * t for a, b in zip(knots, knots[1:]) for t in (0.5, rng.uniform())]
+    band = [lo - DOMAIN_SLACK, lo - DOMAIN_SLACK / 2, hi + DOMAIN_SLACK / 2, hi + DOMAIN_SLACK]
+    return list(knots) + inside + band
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unary_samples_match_numpy_interp(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-1, 2, 12)).tolist()
+    ys = rng.uniform(-3, 3, 12).tolist()
+    g = from_samples_unary(list(zip(xs, ys)))
+    for x in probes(xs, rng):
+        assert bits(g(x)) == bits(float(np.interp(x, xs, ys))), x
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_binary_samples_match_the_searchsorted_formula(seed):
+    """The bilinear rule against the numpy formula it replaced: the cell
+    from np.searchsorted, clamped to the grid, then the same four terms."""
+    rng = np.random.default_rng(seed)
+    xa, ya = np.sort(rng.uniform(0, 1, 7)), np.sort(rng.uniform(0, 1, 9))
+    grid = rng.uniform(-2, 2, (7, 9))
+    f = from_samples_binary([(x, y, grid[i, j]) for i, x in enumerate(xa) for j, y in enumerate(ya)])
+
+    def reference(x, y):
+        i = min(max(int(np.searchsorted(xa, x) - 1), 0), len(xa) - 2)
+        j = min(max(int(np.searchsorted(ya, y) - 1), 0), len(ya) - 2)
+        tx = (x - xa[i]) / (xa[i + 1] - xa[i])
+        ty = (y - ya[j]) / (ya[j + 1] - ya[j])
+        return float(grid[i, j] * (1 - tx) * (1 - ty) + grid[i + 1, j] * tx * (1 - ty)
+                     + grid[i, j + 1] * (1 - tx) * ty + grid[i + 1, j + 1] * tx * ty)
+
+    lo, hi = f.lo, f.hi
+    xs = [x for x in probes(xa.tolist(), rng) if lo - DOMAIN_SLACK <= x <= hi + DOMAIN_SLACK]
+    ys = [y for y in probes(ya.tolist(), rng) if lo - DOMAIN_SLACK <= y <= hi + DOMAIN_SLACK]
+    for x in xs:
+        for y in ys:
+            assert bits(f(x, y)) == bits(reference(x, y)), (x, y)
+
+
+def test_plain_linspace_matches_numpy():
+    """Every grid size the package, its tests and the benchmark use, on the
+    unit interval, the sumprod conjugate's shrunk interval and random ones."""
+    conjugate_hi = additive_conjugate(regraduate(builtin("sumprod"))).hi
+    rng = np.random.default_rng(11)
+    intervals = [(0.0, 1.0), (0.0, conjugate_hi)] + [tuple(rng.uniform(-5, 5, 2)) for _ in range(50)]
+    for lo, hi in intervals:
+        for n in (1, 2, 3, 9, 33, 65, 101):
+            assert [bits(x) for x in _linspace(lo, hi, n)] == [bits(x) for x in np.linspace(lo, hi, n)]

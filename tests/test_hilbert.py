@@ -328,3 +328,54 @@ def test_perturbed_seeds_give_the_same_report(rays, noise_seed, tmp_path, capsys
         reports.append(json.loads(capsys.readouterr().out))
     assert reports[0].pop("embedding") != reports[1].pop("embedding")
     assert reports[0] == reports[1]
+
+
+def _line(d, rng, support):
+    v = np.zeros(d, dtype=np.complex128)
+    v[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return subspace_from_vectors(d, [v])
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(min_value=2, max_value=4), k=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_batched_closure_matches_the_pairwise_loop(d, k, seed):
+    """Random lines in orthogonal blocks of at most two coordinates close
+    to a finite lattice.  A repeated seed and the complement of a seed make
+    duplicates among the seeds, and every round's pairs repeat elements."""
+    rng = RNG(seed)
+    blocks = [list(range(b, min(b + 2, d))) for b in range(0, d, 2)]
+    seeds = [_line(d, rng, block) for block in blocks for _ in range(k if len(block) == 2 else 1)]
+    seeds += [seeds[0], ortho_s(seeds[-1])]
+    ortho, embedding = generate_sublattice(seeds)
+    ordered, leq, neg = reference_closure(seeds)
+    assert len(embedding) == len(ordered)
+    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
+    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert ortho.neg == neg
+
+
+def test_closure_cap_inside_a_round_of_pairs():
+    """Round 2 of the MO(3) x MO(3) closure passes 40 elements among its
+    meets and joins; the cap stops it at the 41st, as the pairwise loop
+    would."""
+    from qlprob.core import CapExceeded
+
+    with pytest.raises(CapExceeded, match=r"^hilbert closure reached 41 subspaces, cap 40$"):
+        generate_sublattice(two_plane_seeds(3, RNG(64)), cap=40)
+
+
+def test_closure_rejects_a_non_orthonormal_candidate(monkeypatch):
+    """Every stacked SVD in the closure is checked: with the left singular
+    vectors of the stacks scaled by 1 + 1e-7, the pair candidates fail
+    the orthonormality test, duplicates or not."""
+    seeds = d2_seed_subspaces()
+    svd = np.linalg.svd
+
+    def scaled(a, *args, **kwargs):
+        u, sigma, vh = svd(a, *args, **kwargs)
+        return (u * (1 + 1e-7) if a.shape[0] > 1 else u), sigma, vh
+
+    monkeypatch.setattr(np.linalg, "svd", scaled)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        generate_sublattice(seeds)

@@ -1,6 +1,7 @@
-"""The exact commands start without numpy: only `hilbert` and `cox` import
-the modules that load it.  Those two commands map their modules'
-exceptions to exit codes themselves, so the codes are pinned here."""
+"""Every command but `hilbert` starts and runs without numpy: only
+`hilbert` imports the module that loads it.  `hilbert` and `cox` map
+their modules' exceptions to exit codes themselves, so the codes are
+pinned here."""
 
 import json
 import os
@@ -23,11 +24,13 @@ EXACT_JOBS = [
 ]
 
 
-def test_exact_commands_leave_numpy_unloaded():
+def numpy_modules_after(jobs) -> str:
+    """The numpy modules loaded after running the jobs, each expected to
+    exit 0, through qlprob.cli.main in a fresh interpreter."""
     script = "\n".join([
         "import contextlib, io, sys",
         "from qlprob.cli import main",
-        f"for argv in {EXACT_JOBS!r}:",
+        f"for argv in {jobs!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert main(argv) == 0, argv",
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
@@ -35,7 +38,23 @@ def test_exact_commands_leave_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    assert numpy_modules_after(EXACT_JOBS) == "[]"
+
+
+def test_cox_commands_leave_numpy_unloaded(tmp_path):
+    unary = tmp_path / "one-minus.csv"
+    unary.write_text("".join(f"{k / 8},{1 - k / 8}\n" for k in range(9)))
+    binary = tmp_path / "sumprod.csv"
+    grid = [k / 8 for k in range(9)]
+    binary.write_text("".join(f"{x},{y},{x + y + x * y}\n" for x in grid for y in grid))
+    jobs = [["cox", "sumprod", "assoc"], ["cox", "sumprod", "regraduate"],
+            ["cox", "one-minus", "involution"], ["cox", str(unary), "involution"],
+            ["cox", str(binary), "regraduate"]]
+    assert numpy_modules_after(jobs) == "[]"
 
 
 def run(capsys, *argv):
