@@ -13,10 +13,8 @@ from .core import (
     NotOrderReversing,
     NotOrthomodular,
     OrthoLattice,
-    OrthoPoset,
     Poset,
     attach_ortho,
-    attach_ortho_poset,
     build_poset,
     lattice_check,
 )
@@ -34,10 +32,8 @@ __all__ = [
     "NotOrderReversing",
     "NotOrthomodular",
     "OrthoLattice",
-    "OrthoPoset",
     "Poset",
     "attach_ortho",
-    "attach_ortho_poset",
     "build_poset",
     "lattice_check",
 ]

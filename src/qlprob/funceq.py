@@ -339,37 +339,6 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     )
 
 
-@dataclass(frozen=True)
-class RescaleReport:
-    passed: bool
-    residuals: dict[float, float]
-
-
-def verify_rescale_freedom(result: RegraduationResult, f: CoxFunction, factors, tolerance: float = 1e-6) -> RescaleReport:
-    """Positive multiples of w stay additive: the residual scales by
-    the factor, so every factor within tolerance passes."""
-    residuals = {}
-    for factor in factors:
-        factor = float(factor)
-        if factor <= 0:
-            raise ValueError(f"rescale factor must be positive, got {factor}")
-        worst = 0.0
-        for x in result.grid:
-            for y in result.grid:
-                value = f(x, y)
-                if value > f.hi + DOMAIN_SLACK:
-                    continue
-                worst = max(
-                    worst,
-                    abs(factor * result.w(value) - factor * result.w(x) - factor * result.w(y)),
-                )
-        residuals[factor] = worst
-    return RescaleReport(
-        passed=bool(all(v <= tolerance for v in residuals.values())),
-        residuals={k: float(v) for k, v in residuals.items()},
-    )
-
-
 def additive_conjugate(result: RegraduationResult) -> CoxFunction:
     """The rule w⁻¹(w(x) + w(y)).
 

@@ -196,33 +196,6 @@ def born(rho: DensityMatrix, subspace: Subspace) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    passed: bool
-    worst_product: float
-    identity_gap: float
-
-
-def resolution_check(projectors) -> ResolutionReport:
-    """Whether the family is pairwise orthogonal and sums to the
-    identity, both within 1e-8."""
-    mats = [np.asarray(p, dtype=np.complex128) for p in projectors]
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise DimensionMismatch("projectors of unequal shape")
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] @ mats[j])))
-    gap = float(np.linalg.norm(sum(mats) - np.eye(d)))
-    return ResolutionReport(
-        passed=worst < EQUALITY_TOL and gap < EQUALITY_TOL,
-        worst_product=worst,
-        identity_gap=gap,
-    )
-
-
 def _canonical_key(s: Subspace):
     rounded = np.round(s.projector(), 9) + 0.0  # normalize -0.0
     return (s.dim, tuple(rounded.real.ravel()), tuple(rounded.imag.ravel()))

@@ -22,6 +22,28 @@ def test_powerset_is_set_algebra():
     assert ps.meet(idx["{1,2}"], idx["{2,3}"]) == idx["{2}"]
 
 
+def _assert_set_algebra_rows(ps, rows):
+    """Meet and join are AND and OR of the masks, the order is inclusion
+    and the negation is the set complement, row by row."""
+    size = ps.n
+    for a in rows:
+        assert ps.meet_table[a].tolist() == [a & b for b in range(size)]
+        assert ps.join_table[a].tolist() == [a | b for b in range(size)]
+        assert ps.poset.up[a] == sum(1 << c for c in range(size) if c & a == a)
+        assert ps.poset.down[a] == sum(1 << c for c in range(size) if c | a == a)
+        assert ps.neg[a] == a ^ (size - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_powerset_tables_are_set_operations(n):
+    ps = builders.powerset(n)
+    _assert_set_algebra_rows(ps, range(ps.n))
+
+
+def test_powerset_11_rows_are_set_operations():
+    _assert_set_algebra_rows(builders.powerset(11), (0, 1, 1234, 2047))
+
+
 def test_powerset_rejects_out_of_range():
     with pytest.raises(CapExceeded):
         builders.powerset(0)

@@ -11,13 +11,11 @@ from qlprob.classify import (
     MAX_BLOCKS,
     check_distributive,
     check_modular,
-    check_sigma_omp,
     classify,
-    classify_poset,
     compatibility_matrix,
     maximal_blocks,
 )
-from qlprob.core import CapExceeded, attach_ortho_poset, build_poset, lattice_check
+from qlprob.core import CapExceeded
 from qlprob.io import lattice_from_document, parse_lattice
 from tests.conftest import d3_seed_subspaces, greechie_text, petersen_blocks
 
@@ -168,40 +166,6 @@ def test_block_cap_carries_the_first_blocks():
     found = info.value.partial
     assert len(found) == MAX_BLOCKS and list(found) == sorted(found)
     assert all(len(block) == 4 for block in found)
-
-
-def test_sigma_omp_on_firefly(l12):
-    assert check_sigma_omp(l12) is None
-
-
-def test_sigma_omp_even_sets():
-    """Even-cardinality subsets of a 6-set: every orthogonal family still
-    joins, yet meets of overlapping pairs fail, so it is a poset-level
-    structure only."""
-    universe = (1, 2, 3, 4, 5, 6)
-    sets = [frozenset(s) for s in _even_subsets(universe)]
-    names = tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
-    by_set = dict(zip(sets, names))
-    covers = []
-    for s in sets:
-        for t in sets:
-            if s < t and len(t - s) == 2:
-                covers.append((by_set[s], by_set[t]))
-    poset = build_poset(names, covers)
-    structure = attach_ortho_poset(
-        poset,
-        [(by_set[s], by_set[frozenset(universe) - s]) for s in sets],
-    )
-    assert check_sigma_omp(structure) is None
-    report = classify_poset(poset)
-    assert not report.is_lattice
-
-
-def _even_subsets(universe):
-    from itertools import combinations
-
-    for k in range(0, len(universe) + 1, 2):
-        yield from combinations(universe, k)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,11 +3,14 @@ exit codes and the JSON envelope are part of the public contract."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from qlprob.cli import main
 from tests.conftest import DATA, greechie_text, petersen_blocks
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -63,6 +66,15 @@ def test_classify_unknown_source(capsys):
     code, doc = run(capsys, "classify", "mystery")
     assert code == 2
     assert "error" in doc
+
+
+def test_classify_reports_a_poset_without_a_join(capsys):
+    """a and b are orthogonal but have two minimal upper bounds, so the
+    document is refused as not a lattice, naming both bounds."""
+    code, doc = run(capsys, "classify", str(SCRIPTS / "cli_jobs" / "nojoin.lat"))
+    assert code == 2
+    assert doc["kind"] == "NotALattice"
+    assert "['u', 'v']" in doc["error"]
 
 
 def test_classify_dot_flag(capsys):

@@ -26,7 +26,6 @@ from qlprob.funceq import (
     from_samples_binary,
     from_samples_unary,
     regraduate,
-    verify_rescale_freedom,
 )
 
 
@@ -137,15 +136,6 @@ def test_regraduation_survives_grid_refinement():
     scale = fine.w(coarse.anchor)
     for x, w in zip(coarse.grid, coarse.values):
         assert w * scale == pytest.approx(fine.w(x), abs=1e-8 * max(1.0, scale))
-
-
-def test_rescale_freedom():
-    result = regraduate(builtin("sumprod"))
-    report = verify_rescale_freedom(result, builtin("sumprod"), [0.5, 2.0, 10.0])
-    assert report.passed
-    assert set(report.residuals) == {0.5, 2.0, 10.0}
-    with pytest.raises(ValueError):
-        verify_rescale_freedom(result, builtin("sumprod"), [0.0])
 
 
 def test_additive_conjugate_is_associative():

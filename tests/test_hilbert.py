@@ -25,7 +25,6 @@ from qlprob.hilbert import (
     ortho_s,
     pure,
     random_density,
-    resolution_check,
     subspace_from_vectors,
 )
 from qlprob.states import is_state
@@ -127,25 +126,6 @@ def test_born_is_affine_in_the_state():
         blend = DensityMatrix(alpha * r1.matrix + (1 - alpha) * r2.matrix)
         assert born(blend, s) == pytest.approx(
             alpha * born(r1, s) + (1 - alpha) * born(r2, s), abs=1e-12)
-
-
-def test_resolution_check_passes_on_spectral_family():
-    rng = RNG(3)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = h + h.conj().T
-    _, vecs = np.linalg.eigh(h)
-    projectors = [np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(4)]
-    report = resolution_check(projectors)
-    assert report.passed
-    assert report.identity_gap < 1e-10
-
-
-def test_resolution_check_fails_on_overlap():
-    zero = subspace_from_vectors(2, [[1, 0]]).projector()
-    plus = subspace_from_vectors(2, [[1, 1]]).projector()
-    report = resolution_check([zero, plus])
-    assert not report.passed
-    assert report.worst_product > 0.1
 
 
 def test_d2_closure_is_mo2_shaped(d2_lattice):
