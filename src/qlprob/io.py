@@ -173,16 +173,11 @@ def serialize_lattice(doc: LatticeDocument) -> str:
         out.append(f"bottom {doc.bottom}")
     if doc.top is not None:
         out.append(f"top {doc.top}")
-    for lo, hi in sorted(doc.covers, key=lambda p: (index[p[0]], index[p[1]])):
-        out.append(f"cover {lo} {hi}")
-    pairs = sorted(
-        (min(p, key=index.get), max(p, key=index.get)) for p in doc.ortho_pairs
-    )
-    seen = set()
-    for a, b in sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])):
-        if (a, b) not in seen:
-            seen.add((a, b))
-            out.append(f"ortho {a} {b}")
+    names = doc.elements
+    covers = sorted((index[lo], index[hi]) for lo, hi in doc.covers)
+    out += [f"cover {names[lo]} {names[hi]}" for lo, hi in covers]
+    pairs = {tuple(sorted((index[a], index[b]))) for a, b in doc.ortho_pairs}
+    out += [f"ortho {names[a]} {names[b]}" for a, b in sorted(pairs)]
     return "\n".join(out) + "\n"
 
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from math import gcd, lcm
 
 from .core import CapExceeded, OrthoLattice
 from .classify import iter_blocks, require_orthomodular
@@ -34,8 +33,8 @@ from .classify import iter_blocks, require_orthomodular
 FLOAT_TOLERANCE = 1e-9
 _ZERO = Fraction(0)
 
-# comb(#atoms, #atoms - rank) budget: the atom bases the vertex search tries
-ENUMERATION_BUDGET = 200_000
+# the rays the vertex search may keep after any of its cuts
+ENUMERATION_BUDGET = 1024
 
 
 class Infeasible(Exception):
@@ -241,27 +240,15 @@ def _rref(rows: list[list[Fraction]], width: int, order=None):
     return rows[:rank], pivots
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solution of a small square system, or None when singular."""
-    d = len(rhs)
-    rows = [matrix[i] + [rhs[i]] for i in range(d)]
-    reduced, pivots = _rref(rows, d)
-    if len(pivots) < d:
-        return None
-    x = [Fraction(0)] * d
-    for row, col in zip(reduced, pivots):
-        x[col] = row[-1]
-    return x
-
-
 def _atom_system(ortho: OrthoLattice):
     """The state system in atom coordinates, reduced once with the atom
     columns first and the constant last.  Rows are [constant, atom
     coeffs...], read as constant + coeffs . x = 0: one "block atoms sum
     to 1" row per block, and one agreement row for each further block
-    that holds an already-seen element.  Returns (rows, below): below[e]
-    is the atoms under e in the first block that holds e, so a state's
-    value at e is the sum of its atom values over below[e]."""
+    that holds an already-seen element.  Returns (rows, pivot columns,
+    below): below[e] is the columns of the atoms under e in the first
+    block that holds e, so a state's value at e is the sum of its atom
+    values over below[e]."""
     column = {a: j for j, a in enumerate(ortho.atoms, 1)}
     rows, below = [], {}
 
@@ -283,32 +270,48 @@ def _atom_system(ortho: OrthoLattice):
     reduced, pivots = _rref(rows, len(column) + 1, [*column.values(), 0])
     if 0 in pivots:
         raise Infeasible("equality system is inconsistent")
-    return reduced, below
+    return reduced, pivots, {e: [column[a] for a in atoms] for e, atoms in below.items()}
 
 
 def extreme_states(ortho: OrthoLattice, cap: int = 1024) -> list[Valuation]:
     """Vertices of the state polytope, in increasing value-tuple order.
 
-    The vertices are the basic feasible solutions of {x >= 0, block
-    rows} in atom coordinates: every choice of rank-many atoms whose
-    square subsystem is nonsingular and solves with x >= 0.  The upper
-    bounds x <= 1 follow from the block sums.  Exact and exhaustive for
-    the lattice sizes this library targets."""
-    rows, below = _atom_system(ortho)
-    atoms, rank = len(ortho.atoms), len(rows)
-    if comb(atoms, atoms - rank) > ENUMERATION_BUDGET:
-        raise CapExceeded(
-            f"vertex search over {atoms} inequalities in {atoms - rank} dimensions"
-        )
-
-    found = {}
-    for basis in combinations(range(1, atoms + 1), rank):
-        point = _solve_square([[r[j] for j in basis] for r in rows], [-r[0] for r in rows])
-        if point is None or any(t < 0 for t in point):
-            continue
-        x = dict(zip((ortho.atoms[j - 1] for j in basis), point))
-        values = tuple(sum((x.get(a, 0) for a in below[e]), Fraction(0)) for e in range(ortho.n))
-        found[values] = None
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) over
+    the atom system, homogenised by t in the constant column.  The free
+    columns are the coordinates: start from the cone {t >= 0, free >=
+    0}, whose rays are the unit vectors, and cut it with each pivot
+    atom's x_p >= 0 in turn.  A ray is an integer vector over all the
+    columns, its pivot entries fixed by the rows, with a bitmask of the
+    columns cut so far on which it is zero; two rays on either side of
+    a cut are adjacent, and span a new ray on it, when no third ray is
+    zero on all they share.  The rays with t > 0 at the end, scaled to
+    t = 1, are the vertices; the upper bounds x <= 1 follow from the
+    block sums.  At most ENUMERATION_BUDGET rays are kept after a cut."""
+    rows, pivots, below = _atom_system(ortho)
+    coords = [j for j in range(len(ortho.atoms) + 1) if j not in pivots]
+    rays = []
+    for k in coords:
+        ray = [Fraction(int(j == k)) for j in range(len(ortho.atoms) + 1)]
+        for row, p in zip(rows, pivots):
+            ray[p] = -row[k]
+        scale = lcm(*(c.denominator for c in ray))
+        rays.append(([int(c * scale) for c in ray], sum(1 << j for j in coords if j != k)))
+    for p in pivots:
+        zeros = [zero for _, zero in rays]
+        positive = [(ray, zero) for ray, zero in rays if ray[p] > 0]
+        negative = [(ray, zero) for ray, zero in rays if ray[p] < 0]
+        rays = positive + [(ray, zero | 1 << p) for ray, zero in rays if ray[p] == 0]
+        for pos, zp in positive:
+            for neg, zn in negative:
+                common = zp & zn
+                if common.bit_count() >= len(coords) - 2 and sum(z & common == common for z in zeros) == 2:
+                    ray = [pos[p] * a - neg[p] * b for a, b in zip(neg, pos)]
+                    g = gcd(*ray)
+                    rays.append(([c // g for c in ray], common | 1 << p))
+        if len(rays) > ENUMERATION_BUDGET:
+            raise CapExceeded(f"vertex search kept {len(rays)} rays, over {ENUMERATION_BUDGET}")
+    found = [tuple(Fraction(sum(ray[j] for j in below[e]), ray[0]) for e in range(ortho.n))
+             for ray, _ in rays if ray[0] > 0]
     if not found:
         raise Infeasible("state polytope is empty")
     vertices = sorted(found)
@@ -323,7 +326,8 @@ def extreme_states(ortho: OrthoLattice, cap: int = 1024) -> list[Valuation]:
 def find_state(ortho: OrthoLattice) -> Valuation:
     """A canonical exact state: the barycenter of the polytope vertices
     (the uniform measure on boolean lattices).  Falls back to a single
-    simplex-found vertex when the vertex enumeration is out of reach."""
+    simplex-found vertex when there are more than 256 vertices or the
+    vertex search keeps more than ENUMERATION_BUDGET rays."""
     try:
         vertices = extreme_states(ortho, cap=256)
     except CapExceeded:
@@ -469,7 +473,7 @@ def implied_affine_relations(ortho: OrthoLattice) -> list[AffineRelation]:
     values: the atom system's rows reduced again with the constant
     column leading, scaled to coprime integers, and oriented so the
     first atom coefficient is positive."""
-    rows, _ = _atom_system(ortho)
+    rows, _, _ = _atom_system(ortho)
     atoms = tuple(ortho.names[a] for a in ortho.atoms)
     reduced, _ = _rref(rows, len(atoms) + 1)
     return [AffineRelation(atoms, *_normalize(row[1:], -row[0])) for row in reduced]

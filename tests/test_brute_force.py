@@ -2,20 +2,25 @@
 modular checks against plain reference scans, on random lattices and on
 random bounded posets that are mostly not lattices; and the order that
 build_poset closes, its cycle and bound reports and the order-reversal
-check of a negation, against the dense-matrix code they replaced.
+check of a negation, against the dense-matrix code they replaced; and
+the state polytope's vertices against the basis enumeration.
 
 The references are the bound search and the triple scans as they were
 before the decide-first tests: every pair's extremal bounds, and every
 triple of the law, in index order.  The order references are the
-closure by n outer products and the all-pairs reversal test."""
+closure by n outer products and the all-pairs reversal test.  The
+vertex reference solves the square subsystem of every choice of
+rank-many atoms, as extreme_states did before double description."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlprob.classify import check_distributive, check_modular
+from qlprob.cli import load_source
 from qlprob.core import (
     CycleDetected,
     NotALattice,
@@ -26,6 +31,9 @@ from qlprob.core import (
     extremal,
     lattice_check,
 )
+from qlprob.io import lattice_from_document, parse_lattice
+from qlprob.states import _atom_system, _rref, extreme_states
+from tests.conftest import DATA, greechie_text, petersen_blocks
 
 
 def reference_tables(poset):
@@ -369,3 +377,42 @@ def test_negation_reversal_agrees_with_the_all_pairs_check(case):
         assert list(got.value.witnesses) == want
     else:
         assert _build_negation(poset, pairs) == tuple(neg)
+
+
+def reference_vertices(ortho):
+    """The basic feasible solutions of {x >= 0, atom rows}: every choice
+    of rank-many atom columns whose square subsystem is nonsingular and
+    solves with x >= 0, as sorted element-value tuples."""
+    rows, _, below = _atom_system(ortho)
+    found = set()
+    for basis in combinations(range(1, len(ortho.atoms) + 1), len(rows)):
+        reduced, pivots = _rref([[r[j] for j in basis] + [-r[0]] for r in rows], len(basis))
+        if len(pivots) < len(basis) or any(row[-1] < 0 for row in reduced):
+            continue
+        x = {basis[col]: row[-1] for row, col in zip(reduced, pivots)}
+        found.add(tuple(sum((x.get(j, 0) for j in below[e]), Fraction(0))
+                        for e in range(ortho.n)))
+    return sorted(found)
+
+
+def assert_same_vertices(ortho):
+    assert [v.values for v in extreme_states(ortho)] == reference_vertices(ortho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(vertices=st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=7))
+def test_vertices_on_petersen_subdiagrams_agree_with_the_basis_enumeration(vertices):
+    """Up to 7 of the 10 blocks, where the reference takes about 1 s; the
+    whole diagram is a case of the next test."""
+    text = greechie_text(petersen_blocks(sorted(vertices)))
+    assert_same_vertices(lattice_from_document(parse_lattice(text)))
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"mo:{n}" for n in range(1, 9)),
+    *(f"powerset:{n}" for n in range(1, 9)),
+    "l12",
+    pytest.param(str(DATA / "petersen.lat"), id="petersen.lat"),
+])
+def test_vertices_agree_with_the_basis_enumeration(spec):
+    assert_same_vertices(load_source(spec)[1])

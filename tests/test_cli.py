@@ -149,9 +149,8 @@ def test_states_on_non_orthomodular_source(capsys):
 
 
 def test_states_find_falls_back_to_simplex(capsys):
-    """On mo:11 the vertex search would try comb(22, 11) bases of 11
-    atoms out of 22, above its budget, so find returns the simplex
-    vertex."""
+    """On mo:11 (2,048 vertices) the vertex search keeps more rays than
+    its budget, so find returns the simplex vertex."""
     code, doc = run(capsys, "states", "mo:11", "find")
     assert code == 0
     assert doc["verified"] is True

@@ -152,6 +152,15 @@ def test_extreme_cap_carries_partial(l12):
     assert len(err.value.partial) == 2
 
 
+def test_vertex_search_stops_at_the_ray_budget():
+    """mo:11 has 2,048 vertices, under the cap; the search stops at the
+    cut where its rays first pass the budget and says how many it kept."""
+    from qlprob.core import CapExceeded
+
+    with pytest.raises(CapExceeded, match=r"^vertex search kept 1025 rays, over 1024$"):
+        extreme_states(builders.mo(11), cap=4096)
+
+
 def test_find_state_uniform_on_powerset(p3):
     state = find_state(p3)
     for a in p3.atoms:
