@@ -10,7 +10,6 @@ arranged.  The orthomodular law is one scan over comparable pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,6 +19,7 @@ from .core import (
     NotOrthomodular,
     OrthoLattice,
     Poset,
+    Record,
     _bits,
     extremal,
 )
@@ -186,8 +186,7 @@ def maximal_blocks(ortho: OrthoLattice) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(blocks))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Ladder flags of a lattice, with law witnesses and the block
     decomposition.
 

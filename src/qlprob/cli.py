@@ -15,9 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import builders
 from .core import CapExceeded, LatticeError, OrthoLattice
-from .classify import classify, ClassificationReport
 from .io import (
     ParseError,
     document_from_lattice,
@@ -28,7 +26,6 @@ from .io import (
     serialize_lattice,
     to_dot,
 )
-from . import states
 
 
 class SourceError(Exception):
@@ -45,6 +42,7 @@ def load_source(spec: str):
             raise SourceError(f"cannot read {spec}: {err}")
         doc = parse_lattice(text)
         return doc.name, lattice_from_document(doc)
+    from . import builders
     name, _, arg = spec.partition(":")
     try:
         if name == "powerset":
@@ -88,6 +86,7 @@ def _classification_payload(name: str, report: ClassificationReport) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify
     name, obj = load_source(args.source)
     report = classify(obj)
     payload = _classification_payload(name, report)
@@ -97,40 +96,41 @@ def cmd_classify(args) -> int:
     return 1 if report.blocks_truncated else 0
 
 
-def _valuation_payload(valuation: states.Valuation) -> dict:
-    return dict(zip(valuation.lattice.names, valuation.values))
-
-
 def cmd_states(args) -> int:
+    from . import states
     name, obj = load_source(args.source)
     if not isinstance(obj, OrthoLattice):
         _emit({"source": name, "error": "source has no orthocomplement"})
         return 2
     payload = {"source": name, "mode": args.mode}
-    if args.mode == "relations":
-        relations = states.implied_affine_relations(obj)
-        payload["atoms"] = [obj.names[a] for a in obj.atoms]
-        payload["relations"] = [
-            {
-                "display": rel.display(),
-                "coeffs": dict(zip(rel.atoms, rel.coeffs)),
-                "rhs": rel.rhs,
-            }
-            for rel in relations
-        ]
-    elif args.mode == "extremes":
-        vertices = states.extreme_states(obj, cap=args.cap or 1024)
-        payload["count"] = len(vertices)
-        payload["vertices"] = [_valuation_payload(v) for v in vertices]
-    else:
-        valuation = states.find_state(obj)
-        payload["valuation"] = _valuation_payload(valuation)
-        payload["verified"] = states.is_state(obj, valuation).passed
+    try:
+        if args.mode == "relations":
+            relations = states.implied_affine_relations(obj)
+            payload["atoms"] = [obj.names[a] for a in obj.atoms]
+            payload["relations"] = [
+                {
+                    "display": rel.display(),
+                    "coeffs": dict(zip(rel.atoms, rel.coeffs)),
+                    "rhs": rel.rhs,
+                }
+                for rel in relations
+            ]
+        elif args.mode == "extremes":
+            vertices = states.extreme_states(obj, cap=args.cap or 1024)
+            payload["count"] = len(vertices)
+            payload["vertices"] = [v.as_dict() for v in vertices]
+        else:
+            valuation = states.find_state(obj)
+            payload["valuation"] = valuation.as_dict()
+            payload["verified"] = states.is_state(obj, valuation).passed
+    except states.Infeasible as err:
+        return _failure(err, 1)
     _emit(payload)
     return 0
 
 
 def cmd_check(args) -> int:
+    from . import states
     name, obj = load_source(args.source)
     if not isinstance(obj, OrthoLattice):
         _emit({"source": name, "error": "source has no orthocomplement"})
@@ -145,7 +145,10 @@ def cmd_check(args) -> int:
     entries = vdoc.entries
     if args.float:
         entries = tuple((k, float(v)) for k, v in entries)
-    valuation = states.valuation_from_document(obj, entries)
+    try:
+        valuation = states.valuation_from_document(obj, entries)
+    except states.DomainMismatch as err:
+        return _failure(err, 2)
     report = states.is_state(obj, valuation, args.tolerance)
     _emit({
         "source": name,
@@ -206,18 +209,21 @@ def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
 
 
 def cmd_hilbert(args) -> int:
-    from . import hilbert  # numpy loads with it; no other command needs either
+    from . import hilbert, states  # numpy loads with hilbert; no other command needs either
+    from .classify import classify
+    tolerance = args.tolerance if args.tolerance is not None else 1e-8
+    scans = {"ie": states.inclusion_exclusion_scan, "subadd": states.subadditivity_scan}
     try:
         seeds = _load_seeds(args.seeds)
         d = seeds[0].d
         ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap or 256)
         rho = _load_rho(args.rho, d, args.seed)
         valuation = hilbert.born_valuation(rho, ortho, embedding)
+        hits = scans[args.scan](ortho, valuation, tolerance) if args.scan else None
     except hilbert.DimensionMismatch as err:
         return _failure(err, 2)
-    except hilbert.NumericalBreakdown as err:
+    except (hilbert.NumericalBreakdown, states.NotAState) as err:
         return _failure(err, 1)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
     report = states.is_state(ortho, valuation, tolerance)
     classification = classify(ortho)
     payload = {
@@ -241,19 +247,13 @@ def cmd_hilbert(args) -> int:
             for name, sub in zip(ortho.names, embedding)
         },
         "rho": args.rho,
-        "valuation": _valuation_payload(valuation),
+        "valuation": valuation.as_dict(),
         "state_check": {
             "passed": report.passed,
             "violations": len(report.violations),
         },
     }
     if args.scan:
-        scan = (
-            states.inclusion_exclusion_scan
-            if args.scan == "ie"
-            else states.subadditivity_scan
-        )
-        hits = scan(ortho, valuation, tolerance)
         payload["scan"] = {
             "kind": args.scan,
             "pairs": [
@@ -294,65 +294,60 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 
 
 def cmd_cox(args) -> int:
-    from .funceq import DomainEscape, TooManySkips
-    try:
-        return _cox(args)
-    except (TooManySkips, DomainEscape) as err:
-        return _failure(err, 1)
-
-
-def _cox(args) -> int:
     from . import funceq
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
-    if args.check == "involution":
-        rule = _load_rule(args.rule, 1)
-        report = funceq.check_involution(rule, tolerance=tolerance)
-        _emit({
-            "rule": args.rule,
-            "check": "involution",
-            "passed": report.passed,
-            "max_residual": report.max_residual,
-            "worst_x": report.worst_x,
-            "identity": report.identity,
-        })
-        return 0 if report.passed else 1
-    if args.check == "assoc":
-        rule = _load_rule(args.rule, 2)
-        report = funceq.check_associativity(rule, tolerance=tolerance)
-        _emit({
-            "rule": args.rule,
-            "check": "assoc",
-            "passed": report.passed,
-            "max_residual": report.max_residual,
-            "worst_triple": list(report.worst_triple) if report.worst_triple else None,
-            "evaluated": report.evaluated,
-            "skipped": report.skipped,
-        })
-        return 0 if report.passed else 1
-    rule = _load_rule(args.rule, 2)
     try:
-        result = funceq.regraduate(rule)
-    except funceq.NotRegraduable as err:
+        tolerance = args.tolerance if args.tolerance is not None else 1e-9
+        if args.check == "involution":
+            rule = _load_rule(args.rule, 1)
+            report = funceq.check_involution(rule, tolerance=tolerance)
+            _emit({
+                "rule": args.rule,
+                "check": "involution",
+                "passed": report.passed,
+                "max_residual": report.max_residual,
+                "worst_x": report.worst_x,
+                "identity": report.identity,
+            })
+            return 0 if report.passed else 1
+        if args.check == "assoc":
+            rule = _load_rule(args.rule, 2)
+            report = funceq.check_associativity(rule, tolerance=tolerance)
+            _emit({
+                "rule": args.rule,
+                "check": "assoc",
+                "passed": report.passed,
+                "max_residual": report.max_residual,
+                "worst_triple": list(report.worst_triple) if report.worst_triple else None,
+                "evaluated": report.evaluated,
+                "skipped": report.skipped,
+            })
+            return 0 if report.passed else 1
+        rule = _load_rule(args.rule, 2)
+        try:
+            result = funceq.regraduate(rule)
+        except funceq.NotRegraduable as err:
+            _emit({
+                "rule": args.rule,
+                "check": "regraduate",
+                "passed": False,
+                "reason": err.reason,
+            })
+            return 1
         _emit({
             "rule": args.rule,
             "check": "regraduate",
-            "passed": False,
-            "reason": err.reason,
+            "passed": True,
+            "max_residual": result.max_residual,
+            "anchor": result.anchor,
+            "table": [{"x": x, "w": w} for x, w in zip(result.grid, result.values)],
         })
-        return 1
-    _emit({
-        "rule": args.rule,
-        "check": "regraduate",
-        "passed": True,
-        "max_residual": result.max_residual,
-        "anchor": result.anchor,
-        "table": [{"x": x, "w": w} for x, w in zip(result.grid, result.values)],
-    })
-    return 0
+        return 0
+    except (funceq.TooManySkips, funceq.DomainEscape) as err:
+        return _failure(err, 1)
 
 
 def _emit(payload: dict):
-    sys.stdout.write(emit_report(payload) + "\n")
+    print(emit_report(payload))  # the newline goes out apart, so the report is not copied
 
 
 def _failure(err: Exception, code: int) -> int:
@@ -416,12 +411,10 @@ def main(argv=None) -> int:
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be at least 1, not {args.cap}")
         return args.run(args)
-    except (ParseError, SourceError, states.DomainMismatch, json.JSONDecodeError,
-            OSError, ValueError, TypeError) as err:
-        return _failure(err, 2)
-    except (states.Infeasible, CapExceeded, states.NotAState) as err:
+    except CapExceeded as err:
         return _failure(err, 1)
-    except LatticeError as err:
+    except (ParseError, SourceError, LatticeError, json.JSONDecodeError, OSError, ValueError,
+            TypeError) as err:
         return _failure(err, 2)
 
 

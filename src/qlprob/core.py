@@ -13,7 +13,6 @@ All types are immutable once built.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -104,8 +103,48 @@ def extremal(mask: int, cone: Sequence[int]) -> list[int]:
     return [m for m in _bits(mask) if cone[m] & mask == 1 << m]
 
 
-@dataclass(frozen=True, eq=False)
-class Poset:
+class Record:
+    """Base of the immutable records.  A subclass's annotations, after its
+    bases', are its fields, given by position or keyword and defaulting to
+    class attributes; == and hash go by field, or by identity if eq=False."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls, eq=True):
+        own = [name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # loaded only on this error path
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return type(self), tuple(map(self.__dict__.get, self._fields))
+
+    def __eq__(self, other):
+        return isinstance(other, Record) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Poset(Record, eq=False):
     """A finite bounded poset: name table, order as bitmasks, bounds."""
 
     names: tuple[str, ...]
@@ -227,8 +266,7 @@ def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:
     return next((a, b) for a in range(n) for b in _bits(up[a] ^ 1 << a) if up[b] >> a & 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Lattice:
+class Lattice(Record, eq=False):
     """A poset with memoised meet and join tables, indexed table[a][b]."""
 
     poset: Poset
@@ -356,8 +394,7 @@ def _resolve(poset: Poset, token) -> int:
     return int(token)
 
 
-@dataclass(frozen=True, eq=False)
-class OrthoLattice(Lattice):
+class OrthoLattice(Lattice, eq=False):
     """A lattice with a verified orthocomplementation."""
 
     neg: tuple[int, ...]

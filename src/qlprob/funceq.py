@@ -21,9 +21,10 @@ skipped and counted instead.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
+
+from .core import Record
 
 DOMAIN_SLACK = 1e-12
 MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
@@ -50,8 +51,7 @@ class NotRegraduable(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-@dataclass(frozen=True)
-class CoxFunction:
+class CoxFunction(Record):
     """A unary or binary rule on [lo, hi].
 
     total means the underlying formula evaluates anywhere, so
@@ -149,8 +149,7 @@ def from_samples_binary(points, lo=None, hi=None) -> CoxFunction:
     )
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(Record):
     passed: bool
     max_residual: float
     worst_x: float
@@ -183,8 +182,7 @@ def check_involution(g: CoxFunction, grid_size: int = 33, tolerance: float = 1e-
     )
 
 
-@dataclass(frozen=True)
-class AssociativityReport:
+class AssociativityReport(Record):
     passed: bool
     max_residual: float
     worst_triple: tuple[float, float, float] | None
@@ -233,8 +231,7 @@ def check_associativity(f: CoxFunction, grid_size: int = 33, tolerance: float = 
     )
 
 
-@dataclass(frozen=True)
-class RegraduationResult:
+class RegraduationResult(Record):
     w: CoxFunction
     max_residual: float
     anchor: float

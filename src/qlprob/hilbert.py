@@ -11,14 +11,13 @@ magnitude apart so rank decisions never contradict equality decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-import numpy as np
-
-from .core import CapExceeded, OrthoLattice, attach_ortho, build_poset, lattice_check
+from .core import CapExceeded, OrthoLattice, Record, attach_ortho, build_poset, lattice_check
 from .states import Valuation
+
+import numpy as np  # last: qlprob's modules compiled after numpy raise the peak RSS
 
 ORTHONORMAL_TOL = 1e-10
 EQUALITY_TOL = 1e-8
@@ -39,8 +38,7 @@ def _check_dimension(d: int):
         raise DimensionMismatch(f"ambient dimension {d} outside 1..{MAX_DIMENSION}")
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(Record, eq=False):
     """Orthonormal column basis of a subspace; zero columns for the
     null subspace.  == and hash are by identity; geometric equality is
     same()."""
@@ -140,8 +138,7 @@ def meet_s(a: Subspace, b: Subspace) -> Subspace:
     return ortho_s(join_s(ortho_s(a), ortho_s(b)))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     matrix: np.ndarray
 
     def __post_init__(self):

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Lattice, OrthoLattice, attach_ortho, build_poset, lattice_check
+from .core import Lattice, OrthoLattice, Record, attach_ortho, build_poset, lattice_check
 
 
 class ParseError(Exception):
@@ -53,8 +52,7 @@ class ValueOutOfRange(ParseError):
         super().__init__(line, f"value {value} for {name!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class LatticeDocument:
+class LatticeDocument(Record):
     name: str
     elements: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
@@ -63,8 +61,7 @@ class LatticeDocument:
     top: str | None = None
 
 
-@dataclass(frozen=True)
-class ValuationDocument:
+class ValuationDocument(Record):
     lattice_name: str
     entries: tuple[tuple[str, Fraction | float], ...]
 

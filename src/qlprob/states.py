@@ -23,11 +23,10 @@ equality claims in reports mean equality of rationals, not closeness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CapExceeded, OrthoLattice
+from .core import CapExceeded, OrthoLattice, Record
 from .classify import iter_blocks, require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
@@ -60,8 +59,7 @@ class NotAState(Exception):
         super().__init__("valuation fails the state constraints")
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     lattice: OrthoLattice
     values: tuple
 
@@ -81,8 +79,7 @@ class Valuation:
         return all(isinstance(v, (Fraction, int)) for v in self.values)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One equality: coeffs · s = rhs, coefficients indexed by element."""
 
     coeffs: tuple
@@ -94,21 +91,18 @@ class Row:
         return acc - self.rhs
 
 
-@dataclass(frozen=True)
-class StateSystem:
+class StateSystem(Record):
     variables: tuple[str, ...]
     rows: tuple[Row, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str
     elements: tuple[str, ...]
     residual: Fraction | float
 
 
-@dataclass(frozen=True)
-class StateCheckReport:
+class StateCheckReport(Record):
     passed: bool
     violations: tuple[Violation, ...]
     complement_residual: Fraction | float
@@ -438,8 +432,7 @@ def solve_in_unit_box(rows, n: int) -> list[Fraction]:
 
 # -- affine relations over atoms --------------------------------------------
 
-@dataclass(frozen=True)
-class AffineRelation:
+class AffineRelation(Record):
     """sum(coeffs[i] * s(atom_i)) = rhs over the lattice atom list."""
 
     atoms: tuple[str, ...]
@@ -481,8 +474,7 @@ def implied_affine_relations(ortho: OrthoLattice) -> list[AffineRelation]:
 
 # -- classicality scans ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairDefect:
+class PairDefect(Record):
     pair: tuple[str, str]
     defect: Fraction | float
     strict_decomposition: bool | None = None

@@ -1,8 +1,10 @@
+import copy
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 
-from qlprob import builders
+from qlprob import builders, classify, funceq, hilbert, io, states
 from qlprob.core import (
     CapExceeded,
     ComplementLawFails,
@@ -14,6 +16,7 @@ from qlprob.core import (
     NotBounded,
     NotInvolutive,
     NotOrderReversing,
+    Record,
     attach_ortho,
     build_poset,
     lattice_check,
@@ -226,3 +229,107 @@ def test_lattice_tables_immutable(p3):
         p3.join_table[0][0] = 5
     with pytest.raises(TypeError):
         p3.meet_table[0] = p3.meet_table[1]
+
+
+# -- records -----------------------------------------------------------------
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _record_classes(cls)
+
+
+def _record_samples() -> dict:
+    """One instance of every record class in the package, by class name."""
+    mo2, l12 = builders.mo(2), builders.firefly_l12()
+    state = states.find_state(mo2)
+    samples = [
+        mo2.poset, lattice_check(mo2.poset), mo2,
+        io.LatticeDocument("chain", ("0", "1"), (("0", "1"),), ()),
+        io.ValuationDocument("chain", (("0", 0), ("1", 1))),
+        classify.classify(mo2),
+        state, states.Row((1, -1), Fraction(0), "agree"), states.build_state_system(mo2),
+        states.Violation("range", ("a",), Fraction(1, 2)), states.is_state(mo2, state),
+        states.implied_affine_relations(l12)[0], states.PairDefect(("a", "b"), 0.5),
+        hilbert.subspace_from_vectors(2, [[1, 0]]), hilbert.max_mixed(1),
+        funceq.builtin("sum"), funceq.check_involution(funceq.builtin("one-minus")),
+        funceq.check_associativity(funceq.builtin("sum"), grid_size=3),
+        funceq.regraduate(funceq.builtin("sum")),
+    ]
+    return {type(record).__name__: record for record in samples}
+
+
+SAMPLES = _record_samples()
+IDENTITY_RECORDS = ("Poset", "Lattice", "OrthoLattice", "Subspace")
+
+
+def test_every_record_class_has_a_sample():
+    assert sorted(cls.__name__ for cls in _record_classes()) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_record_assignment_and_deletion_raise(name):
+    record = SAMPLES[name]
+    field = next(iter(vars(record)))
+    before = getattr(record, field)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field"):
+        setattr(record, field, None)
+    with pytest.raises(FrozenInstanceError, match="cannot delete field"):
+        delattr(record, field)
+    with pytest.raises(FrozenInstanceError):
+        record.extra = 1
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("record, defaults", [
+    (io.LatticeDocument("chain", ("0", "1"), (("0", "1"),), ()), {"bottom": None, "top": None}),
+    (states.PairDefect(("a", "b"), 0.5), {"strict_decomposition": None}),
+    (funceq.CoxFunction(1, 0.0, 1.0, abs), {"total": True, "label": ""}),
+    (classify.ClassificationReport(*[None] * 10), {"blocks_truncated": False}),
+])
+def test_record_defaults_apply(record, defaults):
+    assert {field: getattr(record, field) for field in defaults} == defaults
+
+
+def test_record_positional_and_keyword_construction():
+    row = states.Row((1, -1), Fraction(0), "agree")
+    assert row == states.Row(coeffs=(1, -1), rhs=Fraction(0), label="agree")
+    assert row == states.Row((1, -1), label="agree", rhs=Fraction(0))
+    for args, kwargs in ((((1,), 0), {}), (((1,), 0, "r", 4), {}),
+                         (((1,), 0, "r"), {"rhs": 1}), (((1,), 0), {"label": "r", "sign": 1})):
+        with pytest.raises(TypeError):
+            states.Row(*args, **kwargs)
+
+
+def test_record_post_init_runs():
+    mo2 = builders.mo(2)
+    with pytest.raises(states.DomainMismatch):
+        states.Valuation(mo2, (0,) * (mo2.n - 1))
+    with pytest.raises(states.DomainMismatch):
+        states.Valuation(lattice=mo2, values=())
+    with pytest.raises(ValueError, match="not orthonormal"):
+        hilbert.Subspace(2, hilbert.np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLES) - set(IDENTITY_RECORDS)))
+def test_value_records_compare_and_hash_by_field(name):
+    record = SAMPLES[name]
+    twin = type(record)(**vars(record))
+    assert twin == record and not twin != record and twin is not record
+    try:
+        assert hash(twin) == hash(record)
+    except TypeError:   # a field that cannot be hashed, as a dict of witnesses
+        pass
+    for field in vars(record):
+        changed = copy.copy(record)
+        vars(changed)[field] = object()
+        assert changed != record
+
+
+@pytest.mark.parametrize("name", IDENTITY_RECORDS)
+def test_structures_compare_by_identity(name):
+    record = SAMPLES[name]
+    twin = copy.copy(record)
+    assert vars(twin) == vars(record)
+    assert twin != record and record == record
+    assert hash(record) == object.__hash__(record)

@@ -1,7 +1,7 @@
-"""Every command but `hilbert` starts and runs without numpy: only
-`hilbert` imports the module that loads it.  `hilbert` and `cox` map
-their modules' exceptions to exit codes themselves, so the codes are
-pinned here."""
+"""What each command loads: `import qlprob.cli` loads no command's
+modules, `hilbert` alone loads numpy and loads qlprob's own modules
+first, and no command loads `dataclasses`.  Commands map their modules'
+exceptions to exit codes themselves, so the codes are pinned here."""
 
 import json
 import os
@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qlprob import hilbert
+from qlprob import hilbert, states
 from qlprob.cli import main
 from tests.conftest import DATA
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+WATCHED = ("qlprob.states", "qlprob.classify", "qlprob.builders", "dataclasses", "numpy")
 
 EXACT_JOBS = [
     ["classify", "l12"],
@@ -24,25 +26,45 @@ EXACT_JOBS = [
 ]
 
 
-def numpy_modules_after(jobs) -> str:
-    """The numpy modules loaded after running the jobs, each expected to
-    exit 0, through qlprob.cli.main in a fresh interpreter."""
+def modules_after(jobs) -> list[str]:
+    """The WATCHED modules loaded, in the order they were first
+    imported, after running the jobs, each expected to exit 0, through
+    qlprob.cli.main in a fresh interpreter."""
     script = "\n".join([
-        "import contextlib, io, sys",
+        "import contextlib, io, json, sys",
         "from qlprob.cli import main",
         f"for argv in {jobs!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert main(argv) == 0, argv",
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
+        f"print(json.dumps([m for m in sys.modules if m in {WATCHED!r}]))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_command_module():
+    assert modules_after([]) == []
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    assert numpy_modules_after(EXACT_JOBS) == "[]"
+    loaded = modules_after(EXACT_JOBS)
+    assert "numpy" not in loaded and "dataclasses" not in loaded
+
+
+def test_classify_leaves_states_unloaded():
+    loaded = modules_after([["classify", "l12"], ["classify", str(DATA / "o6.lat"), "--dot"]])
+    assert "qlprob.states" not in loaded and "dataclasses" not in loaded
+
+
+def test_hilbert_loads_qlprob_modules_before_numpy(tmp_path):
+    """qlprob modules compiled after numpy raise the peak resident set."""
+    seeds = tmp_path / "d2.json"
+    seeds.write_text("[[1, 0], [0.6, 0.8]]")
+    loaded = modules_after([["hilbert", str(seeds), "--rho", "random", "--scan", "subadd"]])
+    assert loaded.index("qlprob.states") < loaded.index("numpy")
+    assert loaded.index("qlprob.classify") < loaded.index("numpy")
 
 
 def test_cox_commands_leave_numpy_unloaded(tmp_path):
@@ -54,7 +76,7 @@ def test_cox_commands_leave_numpy_unloaded(tmp_path):
     jobs = [["cox", "sumprod", "assoc"], ["cox", "sumprod", "regraduate"],
             ["cox", "one-minus", "involution"], ["cox", str(unary), "involution"],
             ["cox", str(binary), "regraduate"]]
-    assert numpy_modules_after(jobs) == "[]"
+    assert modules_after(jobs) == []
 
 
 def run(capsys, *argv):
@@ -94,3 +116,31 @@ def test_too_many_skips_exits_1(capsys, tmp_path):
     rule.write_text("".join(f"{x},{y},{x + y}\n" for x in grid for y in grid))
     code, doc = run(capsys, "cox", rule, "assoc")
     assert (code, doc["kind"]) == (1, "TooManySkips")
+
+
+def test_valuation_missing_an_element_exits_2(capsys):
+    code, doc = run(capsys, "check", "l12", ROOT / "scripts" / "cli_jobs" / "l12-missing.val")
+    assert (code, doc["kind"]) == (2, "DomainMismatch")
+    assert doc["error"] == "missing ['n']"
+
+
+def test_infeasible_exits_1(capsys, monkeypatch):
+    def infeasible(ortho):
+        raise states.Infeasible("state polytope is empty")
+
+    monkeypatch.setattr(states, "find_state", infeasible)
+    code, doc = run(capsys, "states", "l12", "find")
+    assert (code, doc["kind"]) == (1, "Infeasible")
+    assert doc["error"] == "state polytope is empty"
+
+
+def test_not_a_state_exits_1(capsys, tmp_path, monkeypatch):
+    def not_a_state(ortho, valuation, tolerance):
+        raise states.NotAState(states.is_state(ortho, valuation, tolerance))
+
+    monkeypatch.setattr(states, "subadditivity_scan", not_a_state)
+    seeds = tmp_path / "d2.json"
+    seeds.write_text("[[1, 0], [0, 1]]")
+    code, doc = run(capsys, "hilbert", seeds, "--scan", "subadd")
+    assert (code, doc["kind"]) == (1, "NotAState")
+    assert doc["error"] == "valuation fails the state constraints"
