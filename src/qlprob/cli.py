@@ -224,7 +224,11 @@ def cmd_hilbert(args) -> int:
         return _failure(err, 2)
     except (hilbert.NumericalBreakdown, states.NotAState) as err:
         return _failure(err, 1)
-    report = states.is_state(ortho, valuation, tolerance)
+    if args.scan:  # the scan raised NotAState unless its own is_state passed
+        state_check = {"passed": True, "violations": 0}
+    else:
+        report = states.is_state(ortho, valuation, tolerance)
+        state_check = {"passed": report.passed, "violations": len(report.violations)}
     classification = classify(ortho)
     payload = {
         "dimension": d,
@@ -248,10 +252,7 @@ def cmd_hilbert(args) -> int:
         },
         "rho": args.rho,
         "valuation": valuation.as_dict(),
-        "state_check": {
-            "passed": report.passed,
-            "violations": len(report.violations),
-        },
+        "state_check": state_check,
     }
     if args.scan:
         payload["scan"] = {

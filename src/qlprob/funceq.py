@@ -93,6 +93,13 @@ def builtin(name: str, lo: float = 0.0, hi: float = 1.0) -> CoxFunction:
     return CoxFunction(arity=arity, lo=lo, hi=hi, fn=fn, total=True, label=name)
 
 
+def _formula(f: CoxFunction) -> Callable:
+    """f as a binary call: a total rule's formula read as a float, as it has
+    no domain to guard; a sample rule itself, guard and all."""
+    fn = f.fn
+    return (lambda x, y: float(fn(x, y))) if f.total else f
+
+
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """np.linspace(lo, hi, n) in plain floats, bit for bit."""
     return [i * ((hi - lo) / (n - 1)) + lo for i in range(n - 1)] + [float(hi)] if n > 1 else [float(lo)] * n
@@ -196,7 +203,7 @@ def check_associativity(f: CoxFunction, grid_size: int = 33, tolerance: float = 
     skipped aborts with TooManySkips."""
     if f.arity != 2:
         raise TypeError("associativity check needs a binary rule")
-    grid = _linspace(f.lo, f.hi, grid_size)
+    grid, call = _linspace(f.lo, f.hi, grid_size), _formula(f)
     worst = -1.0
     worst_triple = None
     evaluated = 0
@@ -204,14 +211,14 @@ def check_associativity(f: CoxFunction, grid_size: int = 33, tolerance: float = 
     for x in grid:
         for y in grid:
             try:
-                xy = f(x, y)
+                xy = call(x, y)
             except DomainEscape:
                 skipped += len(grid)
                 continue
             for z in grid:
                 try:
-                    lhs = f(xy, z)
-                    rhs = f(x, f(y, z))
+                    lhs = call(xy, z)
+                    rhs = call(x, call(y, z))
                 except DomainEscape:
                     skipped += 1
                     continue
@@ -240,7 +247,7 @@ class RegraduationResult(Record):
     inverse: Callable[[float], float]  # w⁻¹ on [0, w(hi)], by ruler replay
 
 
-def _bisect_diagonal(f: CoxFunction, target: float, lo: float, hi: float) -> float:
+def _bisect_diagonal(f: Callable, target: float, lo: float, hi: float) -> float:
     """Solve f(t, t) = target for t; the diagonal is strictly
     increasing once monotonicity passed."""
     a, b = lo, hi
@@ -266,10 +273,10 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     would pass t, and never past hi."""
     if f.arity != 2:
         raise TypeError("regraduation needs a binary rule")
-    grid = _linspace(f.lo, f.hi, grid_size)
+    grid, call = _linspace(f.lo, f.hi, grid_size), _formula(f)
     for y in grid:
-        along_x = [f(x, y) for x in grid]
-        along_y = [f(y, x) for x in grid]
+        along_x = [call(x, y) for x in grid]
+        along_y = [call(y, x) for x in grid]
         for series in (along_x, along_y):
             k = min(range(len(grid) - 1), key=lambda k: series[k + 1] - series[k])  # first minimum
             if series[k + 1] - series[k] <= 0:
@@ -282,7 +289,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     anchor = grid[1]
     rulers = [anchor]
     while rulers[-1] - f.lo > 1e-14 * max(1.0, f.hi - f.lo) and len(rulers) < 60:
-        rulers.append(_bisect_diagonal(f, rulers[-1], f.lo, rulers[-1]))
+        rulers.append(_bisect_diagonal(call, rulers[-1], f.lo, rulers[-1]))
 
     @lru_cache(maxsize=MEASURE_CACHE)
     def measure(x: float) -> float:
@@ -293,7 +300,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
         for level, tick in enumerate(rulers):
             weight = 0.5 ** level
             for _ in range(10_000):
-                step = f(position, tick)
+                step = call(position, tick)
                 if step > x + 1e-15 or step <= position:
                     break
                 position = step
@@ -306,7 +313,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
         for level, tick in enumerate(rulers):
             weight = 0.5 ** level
             while total + weight <= t:
-                step = f(position, tick)
+                step = call(position, tick)
                 if step > f.hi or step <= position:
                     break
                 position = step
@@ -320,10 +327,10 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
     residual = 0.0
     for x in grid:
         for y in grid:
-            value = f(x, y)
+            value = call(x, y)
             if value > f.hi + DOMAIN_SLACK:
                 continue
-            residual = max(residual, abs(w(value) - w(x) - w(y)))
+            residual = max(residual, abs(measure(value) - measure(x) - measure(y)))
     if residual > 1e-6:
         raise NotRegraduable("residual-too-large", f"{residual:.3e}")
     return RegraduationResult(
@@ -331,7 +338,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
         max_residual=float(residual),
         anchor=float(anchor),
         grid=tuple(float(x) for x in grid),
-        values=tuple(float(w(x)) for x in grid),
+        values=tuple(measure(x) for x in grid),
         inverse=unmeasure,
     )
 
@@ -344,11 +351,11 @@ def additive_conjugate(result: RegraduationResult) -> CoxFunction:
     and are legal, so the rule itself guards the one real limit: a
     w-sum past w(hi) has no preimage and raises DomainEscape."""
     w, inverse = result.w, result.inverse
-    top = w(w.hi)
+    measure, top = w.fn, w(w.hi)  # measure guards the domain as w does
     hi = inverse(top / 3)
 
     def rule(x, y):
-        total = w(x) + w(y)
+        total = measure(x) + measure(y)
         if total > top + 1e-9:
             raise DomainEscape(total)
         return inverse(total)

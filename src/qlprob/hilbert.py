@@ -22,7 +22,7 @@ import numpy as np  # last: qlprob's modules compiled after numpy raise the peak
 ORTHONORMAL_TOL = 1e-10
 EQUALITY_TOL = 1e-8
 MAX_DIMENSION = 8
-PAIR_CHUNK = 16  # closure pairs per batch of stacked SVDs; bounds the batch's memory
+PAIR_CHUNK = 64  # closure pairs per batch of stacked SVDs; bounds the batch's memory
 
 
 class DimensionMismatch(Exception):
@@ -83,20 +83,21 @@ def _svd_bases(mats: np.ndarray, widths: list[int], complement: bool = False):
     """One SVD per width w of the first w columns of each matrix: thin for the
     span, ranked against ORTHONORMAL_TOL times the largest singular value, or
     full for the complement of an orthonormal basis (the last d − w left
-    singular vectors).  Returns (m, d, d) bases, zero past each rank, and ranks."""
-    d = mats.shape[1]
-    bases, ranks = np.zeros((len(mats), d, d), dtype=np.complex128), list(widths)
-    for w in set(widths):
-        rows = [t for t, v in enumerate(widths) if v == w]
+    singular vectors).  Returns (m, d, d) bases, exact zeros past each rank, and ranks."""
+    d, widths = mats.shape[1], np.array(widths)
+    bases, ranks = np.zeros((len(mats), d, d), dtype=np.complex128), widths.copy()
+    for w in set(widths.tolist()):
+        rows = np.flatnonzero(widths == w)
         u, sigma, _ = np.linalg.svd(mats[rows, :, :w], full_matrices=complement)
         gap = u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[2])  # Subspace's test, on all of u
         if not (np.abs(gap) <= ORTHONORMAL_TOL).all():
             raise ValueError("basis columns are not orthonormal")
-        kept = np.count_nonzero(sigma > ORTHONORMAL_TOL * sigma[:, :1], axis=1).tolist()
-        for a, t in enumerate(rows):
-            columns = u[a, :, w:] if complement else u[a, :, :kept[a]]
-            bases[t, :, :columns.shape[1]], ranks[t] = columns, columns.shape[1]
-    return bases, ranks
+        if complement:
+            bases[rows, :, :d - w], ranks[rows] = u[:, :, w:], d - w
+        else:
+            ranks[rows] = np.count_nonzero(sigma > ORTHONORMAL_TOL * sigma[:, :1], axis=1)
+            bases[rows, :, :u.shape[2]] = np.where(np.arange(u.shape[2]) < ranks[rows, None, None], u, 0)
+    return bases, ranks.tolist()
 
 
 def subspace_from_vectors(d: int, vectors) -> Subspace:
@@ -201,7 +202,7 @@ def _canonical_key(s: Subspace):
 def _first_within(stack: np.ndarray, p: np.ndarray) -> int | None:
     """Index of the first projector in stack within EQUALITY_TOL of p in
     Frobenius norm: the match a loop over Subspace.same would find."""
-    gaps = np.linalg.norm((stack - p).reshape(len(stack), -1), axis=1)
+    gaps = np.linalg.norm((stack - p).reshape(len(stack), p.size), axis=1)
     hits = np.flatnonzero(gaps < EQUALITY_TOL)
     return int(hits[0]) if hits.size else None
 
@@ -228,11 +229,14 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     the result as a verified abstract ortholattice.
 
     Returns the lattice together with the element-indexed subspace
-    embedding.  Closure is breadth-first, deduplicated against the
-    first element within EQUALITY_TOL; each round's pairs are batched
-    into stacked SVDs, and each complement is computed once and serves
-    the meets too.  Element order is by (dimension, projector entries),
-    which keeps runs deterministic."""
+    embedding.  Closure is breadth-first, and a candidate is kept unless
+    an element kept before it lies within EQUALITY_TOL.  Each round's
+    pairs go PAIR_CHUNK at a time into stacked SVDs; a batch's candidates
+    meet the elements kept before the batch in one array operation, each
+    only those of its own rank, and the survivors then meet the elements
+    kept within the batch one by one.  Each complement is computed once
+    and serves the meets too.  Element order is by (dimension, projector
+    entries), which keeps runs deterministic."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed subspace required")
@@ -254,22 +258,31 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
         elements.append(s)
         perps.append(perp)
 
-    def add(projectors, build):
-        """Keep each candidate in turn unless an element lies within EQUALITY_TOL."""
-        for u, p in enumerate(projectors):
-            if _first_within(store[:len(elements), 0], p) is None:
+    def add(projectors, ranks, build):
+        """Keep each candidate in turn unless an element lies within EQUALITY_TOL:
+        first against the elements kept before the batch, of its rank only, as
+        ‖P − Q‖²_F ≥ |rk P − rk Q|; then, for the survivors, those kept since."""
+        start, ranks, kept = len(elements), np.array(ranks), np.array([s.dim for s in elements])
+        fresh = np.ones(len(ranks), dtype=bool)
+        for r in set(ranks.tolist()):
+            rows, old = np.flatnonzero(ranks == r), store[np.flatnonzero(kept == r), 0]
+            gaps = np.linalg.norm((projectors[rows, None] - old).reshape(len(rows), len(old), d * d), axis=2)
+            fresh[rows] = ~(gaps < EQUALITY_TOL).any(axis=1)
+        for u in np.flatnonzero(fresh).tolist():
+            if _first_within(store[start:len(elements), 0], projectors[u]) is None:
                 keep(build(u))
                 if len(elements) > cap:
                     raise CapExceeded(f"hilbert closure reached {len(elements)} subspaces, cap {cap}")
 
     keep(null_subspace(d))
     keep(full_subspace(d))
-    add([s.projector() for s in seeds], seeds.__getitem__)
+    add(np.array([s.projector() for s in seeds]), [s.dim for s in seeds], seeds.__getitem__)
     # every round's frontier is the run of elements the round before added
     frontier = range(len(elements))
     while frontier:
         start = len(elements)
-        add([perps[i].projector() for i in frontier], lambda u: perps[frontier[u]])
+        add(np.array([perps[i].projector() for i in frontier]), [perps[i].dim for i in frontier],
+            lambda u: perps[frontier[u]])
         n = len(elements)
         pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if i in frontier or j in frontier)
         dims = [s.dim for s in elements]
@@ -279,7 +292,7 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
             # rank 0 is element 0; a rank-d basis passed the orthonormality test, so its
             # projector lies within d * ORTHONORMAL_TOL < EQUALITY_TOL of element 1
             live = [u for u, r in enumerate(ranks) if 0 < r < d]
-            add(bases[live] @ bases[live].conj().transpose(0, 2, 1),
+            add(bases[live] @ bases[live].conj().transpose(0, 2, 1), [ranks[u] for u in live],
                 lambda u: Subspace(d, bases[live[u], :, :ranks[live[u]]].copy()))
         frontier = range(start, len(elements))
 

@@ -271,6 +271,8 @@ def render_number(value):
 def json_ready(obj):
     """Recursively make a report JSON-serialisable: Fractions become p/q
     strings, floats are rounded to 12 significant digits."""
+    if obj is None or type(obj) in (str, int, bool):
+        return obj
     if isinstance(obj, Fraction):
         return render_number(obj)
     if isinstance(obj, float):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qlprob import states
 from qlprob.cli import main
 from tests.conftest import DATA, greechie_text, petersen_blocks
 
@@ -214,6 +215,32 @@ def test_hilbert_pipeline(capsys, d2_seeds):
     pairs = {tuple(hit["pair"]): hit["defect"] for hit in doc["scan"]["pairs"]}
     assert len(pairs) == 2
     assert all(d == pytest.approx(0.5) for d in pairs.values())
+
+
+@pytest.mark.parametrize("scan", [["--scan", "ie"], ["--scan", "subadd"], []], ids=["ie", "subadd", "none"])
+def test_hilbert_checks_the_state_once(capsys, d2_seeds, monkeypatch, scan):
+    """A scan checks the state itself and raises NotAState unless the check
+    passed, so the command adds no second check; without a scan the command
+    checks once."""
+    is_state, reports = states.is_state, []
+
+    def counted(*args):
+        reports.append(is_state(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(states, "is_state", counted)
+    code, doc = run(capsys, "hilbert", d2_seeds, "--rho", "random", *scan)
+    assert code == 0 and len(reports) == 1 and reports[0].passed
+    assert doc["state_check"] == {"passed": True, "violations": 0}
+    assert ("scan" in doc) == bool(scan)
+
+
+def test_hilbert_without_a_scan_prints_its_state_check(capsys, d2_seeds, monkeypatch):
+    failing = states.StateCheckReport(passed=False, violations=(states.Violation("top", ("1",), 0.5),),
+                                      complement_residual=0.0)
+    monkeypatch.setattr(states, "is_state", lambda *args: failing)
+    code, doc = run(capsys, "hilbert", d2_seeds)
+    assert code == 0 and doc["state_check"] == {"passed": False, "violations": 1}
 
 
 def test_hilbert_cap(capsys, tmp_path):

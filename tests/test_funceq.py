@@ -7,10 +7,12 @@ ln(1 + x) / ln(1 + x1) at every grid point (x1 the anchor)."""
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qlprob import funceq
 from qlprob.funceq import (
     DOMAIN_SLACK,
     MEASURE_CACHE,
@@ -270,3 +272,53 @@ def test_plain_linspace_matches_numpy():
     for lo, hi in intervals:
         for n in (1, 2, 3, 9, 33, 65, 101):
             assert [bits(x) for x in _linspace(lo, hi, n)] == [bits(x) for x in np.linspace(lo, hi, n)]
+
+
+SUMPROD_VALUES = (
+    0.0, 1.0, 1.970144751473299, 2.9121653681445423, 3.827646631984635, 4.718043034883749,
+    5.584692680616854, 6.428829380707157, 7.251593218642256, 8.05403980944152, 8.83714844326687,
+    9.60182927068081, 10.348929661779948, 11.079239850627118, 11.79349795925873,
+    12.492394481343126, 13.176576293764583, 13.846650254548877, 14.50318643728474,
+    15.146721045237882, 15.777759042487105, 16.396776534425953, 17.004222925749218,
+    17.600522880422204, 18.18607810504659, 18.761268974381437, 19.326456015490066,
+    19.88198126502016, 20.428169512407067, 20.965329440320374, 21.493754672378145,
+    22.013724737031453, 22.52550595554453,
+)
+
+
+def test_sumprod_figures_are_pinned():
+    """Exact floats of the associativity check, the regraduation and its
+    conjugate on x + y + xy, and of a sample rule's check with skips."""
+    report = check_associativity(builtin("sumprod"))
+    assert (report.max_residual, report.worst_triple, report.evaluated, report.skipped) == \
+        (0.0, (0.0, 0.0, 0.0), 35937, 0)
+    result = regraduate(builtin("sumprod"))
+    assert result.values == SUMPROD_VALUES
+    assert result.max_residual == 2.2737367544323206e-13
+    rule = additive_conjugate(result)
+    assert rule.hi == 0.2599210498948725
+    assert [rule(x, y) for x, y in ((0.05, 0.1), (0.1, 0.2), (0.125, 0.03))] == \
+        [0.154999999999995, 0.31999999999999124, 0.15874999999999362]
+    grid = [k / 4 for k in range(9)]
+    hypot = from_samples_binary([(x, y, (x * x + y * y) ** 0.5) for x in grid for y in grid])
+    report = check_associativity(hypot, grid_size=9)
+    assert (report.max_residual, report.worst_triple, report.evaluated, report.skipped) == \
+        (0.0069222573100353735, (0.25, 0.25, 0.75), 424, 305)
+
+
+def test_fraction_formula_reports_floats(monkeypatch):
+    """A total rule whose formula returns a Fraction is read as a float, as
+    CoxFunction.__call__ reads it: every field equals a run in which each
+    evaluation goes through the call."""
+    rule = CoxFunction(arity=2, lo=0.0, hi=1.0, label="exact sumprod",
+                       fn=lambda x, y: Fraction(x) + Fraction(y) + Fraction(x) * Fraction(y))
+
+    def run():
+        report, result = check_associativity(rule, grid_size=9), regraduate(rule, grid_size=9)
+        return (report.max_residual, report.worst_triple, report.evaluated, report.skipped,
+                result.max_residual, result.values, result.inverse(2.5))
+
+    direct = run()
+    monkeypatch.setattr(funceq, "_formula", lambda f: f)
+    assert run() == direct
+    assert all(type(v) is float for v in (direct[0], direct[4], *direct[1], *direct[5], direct[6]))

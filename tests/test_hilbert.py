@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlprob import hilbert
 from qlprob.classify import classify
 from qlprob.cli import main
 from qlprob.hilbert import (
@@ -359,3 +360,29 @@ def test_closure_rejects_a_non_orthonormal_candidate(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", scaled)
     with pytest.raises(ValueError, match="not orthonormal"):
         generate_sublattice(seeds)
+
+
+def test_closure_survivors_meet_the_elements_kept_in_their_batch(monkeypatch):
+    """Lines e1, e2 and (e1 + e2)/√2 in C^4: the first round holds 8
+    elements, and the 25 pairs that take one of the first 5 make one batch.
+    Three of them join to the e1e2 plane, which no element held before the
+    batch, so the later two pass the batch test and meet it among the
+    survivors; and the batch holds candidates of rank 1 (e1 ∧ e2⊥),
+    2 (e1 ∨ e2) and 3 (e1 ∨ e2⊥)."""
+    seeds = [subspace_from_vectors(4, [v]) for v in ([1, 0, 0, 0], [0, 1, 0, 0], [R, R, 0, 0])]
+    pair_candidates, first_within = hilbert._pair_candidates, hilbert._first_within
+    batches, lookups = [], []
+    monkeypatch.setattr(hilbert, "_pair_candidates",
+                        lambda *args: batches.append(pair_candidates(*args)) or batches[-1])
+    monkeypatch.setattr(hilbert, "_first_within",
+                        lambda stack, p: lookups.append((len(stack), first_within(stack, p))) or lookups[-1][1])
+    ortho, embedding = generate_sublattice(seeds)
+    ordered, leq, neg = reference_closure(seeds)
+    assert len(embedding) == len(ordered)
+    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
+    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert ortho.neg == neg
+    assert len(batches[0][1]) == 50 and {1, 2, 3} <= set(batches[0][1])
+    # survivor lookups search only the elements kept in their batch; the complement
+    # lookups at the end search all of them
+    assert any(hit is not None for size, hit in lookups if size < len(embedding))

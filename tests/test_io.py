@@ -128,6 +128,25 @@ def test_json_ready_and_emit():
     assert parsed["x"] == 3.14159265359
 
 
+def test_emit_mixed_payload_bytes():
+    """Every leaf type a report carries, through the one emitter: bools stay
+    true and false, numpy integers and floats become plain numbers, Fractions
+    p/q strings, tuples arrays.  The bytes are pinned."""
+    import numpy as np
+
+    payload = {"flag": True, "off": False, "n": 3, "big": np.int64(7), "x": np.float64(1 / 3),
+               "q": Fraction(2, 6), "none": None, "pair": (1, 0.1 + 0.2, Fraction(4, 2)),
+               "nested": {"ok": True, "k": [np.int64(-1), "s"]}}
+    assert emit_report(payload) == (
+        '{\n  "schema": 1,\n  "flag": true,\n  "off": false,\n  "n": 3,\n  "big": 7,\n'
+        '  "x": 0.333333333333,\n  "q": "1/3",\n  "none": null,\n'
+        '  "pair": [\n    1,\n    0.3,\n    "2"\n  ],\n'
+        '  "nested": {\n    "ok": true,\n    "k": [\n      -1,\n      "s"\n    ]\n  }\n}')
+    ready = json_ready(payload)
+    assert ready["flag"] is True and ready["off"] is False and ready["nested"]["ok"] is True
+    assert type(ready["big"]) is int and type(ready["nested"]["k"][0]) is int
+
+
 def test_emit_rejects_nan():
     with pytest.raises(ValueError):
         emit_report({"x": float("nan")})
