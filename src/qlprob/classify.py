@@ -21,7 +21,6 @@ from .core import (
     Poset,
     Record,
     _bits,
-    extremal,
 )
 
 # maximal_blocks lists at most this many; past it classify reports a cut list.
@@ -34,19 +33,24 @@ class Witness(NamedTuple):
 
 
 def _join_irreducibles(poset: Poset) -> list[int]:
-    """The elements with exactly one lower cover."""
-    return [j for j in range(poset.n) if len(extremal(poset.down[j] ^ 1 << j, poset.up)) == 1]
+    """The elements with exactly one lower cover: over the extension,
+    the highest member of the strict down-set is a lower cover, and its
+    down-set is the whole strict down-set."""
+    order, down, _ = poset.extension
+    return [j for j, d in enumerate(down)   # j is the highest member of its down-set
+            if (s := d ^ 1 << d.bit_length() - 1) and down[order[s.bit_length() - 1]] == s]
 
 
 def _join_primes(lattice: Lattice) -> bool:
     """Every join-irreducible j is join-prime: the elements not above j
     have a greatest element, so no join of two of them is above j.  A
     finite lattice is distributive iff this holds (Davey & Priestley
-    2002)."""
-    poset = lattice.poset
-    everything = (1 << poset.n) - 1
-    return all(len(extremal(everything ^ poset.up[j], poset.up)) == 1
-               for j in _join_irreducibles(poset))
+    2002).  Over the extension, that set has a greatest element iff its
+    highest member has the whole set as its down-set."""
+    order, down, up = lattice.poset.extension
+    everything = (1 << lattice.n) - 1
+    return all(down[order[(s := everything ^ up[j]).bit_length() - 1]] == s
+               for j in _join_irreducibles(lattice.poset))
 
 
 def check_distributive(lattice: Lattice) -> Witness | None:
@@ -154,7 +158,10 @@ def iter_blocks(ortho: OrthoLattice):
     """
     require_orthomodular(ortho)
     atoms = ortho.atoms
-    adjacent = {a: {b for b in atoms if ortho.orthogonal(a, b)} - {a} for a in atoms}
+    # b is orthogonal to a iff b <= neg(a); filling each set in index order
+    # keeps its layout, and so the pivot tie-break below, deterministic
+    down, mask = ortho.poset.down, ortho.atom_mask
+    adjacent = {a: set(_bits(down[ortho.neg[a]] & mask)) - {a} for a in atoms}
 
     def cliques(clique: list[int], cand: set[int], done: set[int]):
         if not cand and not done:

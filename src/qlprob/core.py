@@ -3,8 +3,10 @@
 Elements are integer indices into a fixed name table.  Structures are
 built from covering relations (Hasse form); the order, their closure, is
 kept as up- and down-set bitmasks found in one pass in topological
-order.  Meets and joins are found with one bit test per pair over a
-linear extension, and memoised in tables of read-only 4-byte rows,
+order.  Each poset caches one linear extension, index order when it is
+one, with its cones as bitmasks over positions (Ait-Kaci, Boyer, Lincoln
+& Nasr 1989).  Over it meets, joins and Hasse covers are each one bit
+test; meets and joins are memoised in tables of read-only 4-byte rows,
 table[a][b], so every later law check is a lookup.  A Lattice is built
 on a Poset, and an OrthoLattice is a Lattice with a verified negation.
 All types are immutable once built.
@@ -165,11 +167,32 @@ class Poset(Record, eq=False):
         return bool(self.up[a] >> b & 1)
 
     @cached_property
+    def extension(self) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
+        """(order, down, up): the elements of a linear extension by
+        position, and each element's down- and up-set as bitmasks over
+        positions.  Index order is kept when it is one; otherwise the
+        elements go by down-set size and the cones are transposed."""
+        if all(d.bit_length() == e + 1 for e, d in enumerate(self.down)):
+            return range(self.n), self.down, self.up
+        order = tuple(sorted(range(self.n), key=lambda e: self.down[e].bit_count()))
+        return (order, _transpose([self.up[e] for e in order], self.n),
+                _transpose([self.down[e] for e in order], self.n))
+
+    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (lo, hi) of the Hasse diagram, in index order:
-        each hi is a minimal element of lo's strict up-set."""
-        return tuple((a, b) for a in range(self.n)
-                     for b in extremal(self.up[a] ^ 1 << a, self.down))
+        """Covering pairs (lo, hi) of the Hasse diagram, in index order.
+        Over the extension the lowest member of what is left of lo's
+        strict up-set is an upper cover; peeling it with its up-set away
+        gives the next (Ait-Kaci et al. 1989)."""
+        order, _, up = self.extension
+        pairs = []
+        for a in range(self.n):
+            rest, row = up[a] & up[a] - 1, []   # a is the lowest member of its up-set
+            while rest:
+                row.append(b := order[(rest ^ rest - 1).bit_length() - 1])
+                rest &= ~up[b]
+            pairs += ((a, b) for b in sorted(row))
+        return tuple(pairs)
 
 
 def build_poset(
@@ -305,34 +328,25 @@ class Lattice(Record, eq=False):
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         """Elements covering bottom."""
-        bot = self.bottom
-        out = []
-        for x in range(self.n):
-            if x == bot:
-                continue
-            if self.poset.down[x] == (1 << bot) | (1 << x):
-                out.append(x)
-        return tuple(out)
+        down, bot = self.poset.down, self.bottom
+        return tuple(x for x in range(self.n) if x != bot and down[x] == 1 << bot | 1 << x)
+
+    @cached_property
+    def atom_mask(self) -> int:
+        """Bitmask of the atoms."""
+        return sum(1 << a for a in self.atoms)
 
     def is_atomic(self) -> bool:
         """Every nonzero element dominates an atom."""
-        atom_mask = 0
-        for a in self.atoms:
-            atom_mask |= 1 << a
-        for x in range(self.n):
-            if x == self.bottom:
-                continue
-            if not (self.poset.down[x] & atom_mask):
-                return False
-        return True
+        return all(d & self.atom_mask for x, d in enumerate(self.poset.down) if x != self.bottom)
 
     def is_atomistic(self) -> bool:
         """Every element is the join of the atoms below it."""
+        join = self.join_table
         for x in range(self.n):
             acc = self.bottom
-            for a in self.atoms:
-                if self.le(a, x):
-                    acc = self.join(acc, a)
+            for a in _bits(self.poset.down[x] & self.atom_mask):
+                acc = join[acc][a]
             if acc != x and x != self.bottom:
                 return False
         return True
@@ -341,32 +355,26 @@ class Lattice(Record, eq=False):
 def lattice_check(poset: Poset) -> Lattice:
     """Verify every pair has a meet and a join; memoise the tables.
 
-    Down- and up-sets are relabelled as bitmasks over positions in a
-    linear extension (elements by down-set size).  The highest common
-    lower bound of a pair is then maximal among them, and it is the meet
-    exactly when its own down-set is all of them; dually the lowest
-    common upper bound is the join exactly when its up-set is all of
-    them.  Raises NotALattice at the first failing pair in index order,
-    carrying the incomparable bound set as witnesses.
+    Over the positions of Poset.extension, the highest common lower
+    bound of a pair is maximal among them, and it is the meet exactly
+    when its own down-set is all of them; dually the lowest common upper
+    bound is the join exactly when its up-set is all of them.  So each
+    entry is one bit test and one comparison.  Raises NotALattice at the
+    first failing pair in index order, carrying the incomparable bound
+    set as witnesses.
     """
     n, names = poset.n, poset.names
-    down_size = [d.bit_count() for d in poset.down]
-    up_size = [u.bit_count() for u in poset.up]
-    order = sorted(range(n), key=down_size.__getitem__)
-    # by element, with bit p set for the element at position p
-    down = _transpose([poset.up[e] for e in order], n)
-    up = _transpose([poset.down[e] for e in order], n)
+    order, down, up = poset.extension
+    order = tuple(order)   # a tuple subscript is cheaper than a range's, n * n times
     meet_t, join_t = array("i", [0]) * (n * n), array("i", [0]) * (n * n)
     for a in range(n):
-        lows = [down[a] & d for d in down[a:]]
-        highs = [up[a] & u for u in up[a:]]
-        meets = [order[s.bit_length() - 1] for s in lows]
-        joins = [order[(s & -s).bit_length() - 1] for s in highs]
-        # a bound's own cone lies inside the common cone, so sizes decide
-        fails = [s.bit_count() != down_size[m] or t.bit_count() != up_size[j]
-                 for m, s, j, t in zip(meets, lows, joins, highs)]
-        if any(fails):
-            b = a + fails.index(True)
+        da, ua = down[a], up[a]
+        meets = [m if down[m := order[(s := da & d).bit_length() - 1]] == s else -1
+                 for d in down[a:]]
+        joins = [j if up[j := order[((s := ua & u) ^ s - 1).bit_length() - 1]] == s else -1
+                 for u in up[a:]]
+        if -1 in meets or -1 in joins:
+            b = a + next(i for i, pair in enumerate(zip(meets, joins)) if -1 in pair)
             maximal = extremal(poset.down[a] & poset.down[b], poset.up)
             minimal = extremal(poset.up[a] & poset.up[b], poset.down)
             kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
@@ -376,10 +384,10 @@ def lattice_check(poset: Poset) -> Lattice:
     return Lattice(poset=poset, meet_table=_rows(meet_t, n), join_table=_rows(join_t, n))
 
 
-def _transpose(rows: Sequence[int], n: int) -> list[int]:
+def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Bit matrix transpose: bit p of column c is bit c of rows[p]."""
     digits = [format(row, f"0{n}b") for row in reversed(rows)]
-    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+    return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
 
 
 def _rows(table: array, n: int) -> tuple[memoryview, ...]:

@@ -1,13 +1,17 @@
-"""Meet and join tables, NotALattice reports and the distributive and
-modular checks against plain reference scans, on random lattices and on
-random bounded posets that are mostly not lattices; and the order that
+"""Meet and join tables, NotALattice reports, the covers, the
+join-irreducibles, the join-prime test and the distributive and modular
+checks against plain reference scans, on random lattices and on random
+bounded posets that are mostly not lattices, each declared both in
+shuffled order and in a linear extension; and the order that
 build_poset closes, its cycle and bound reports and the order-reversal
 check of a negation, against the dense-matrix code they replaced; and
 the state polytope's vertices against the basis enumeration.
 
 The references are the bound search and the triple scans as they were
 before the decide-first tests: every pair's extremal bounds, and every
-triple of the law, in index order.  The order references are the
+triple of the law, in index order; and the covers, join-irreducibles
+and join-primes as extremal members of cones, as they were found before
+the linear extension.  The order references are the
 closure by n outer products and the all-pairs reversal test.  The
 vertex reference solves the square subsystem of every choice of
 rank-many atoms, as extreme_states did before double description."""
@@ -19,7 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlprob.classify import check_distributive, check_modular
+from qlprob import builders, core
+from qlprob.classify import (
+    _join_irreducibles,
+    _join_primes,
+    check_distributive,
+    check_modular,
+    classify,
+)
 from qlprob.cli import load_source
 from qlprob.core import (
     CycleDetected,
@@ -52,6 +63,25 @@ def reference_tables(poset):
             meet_t[a, b] = meet_t[b, a] = maximal[0]
             join_t[a, b] = join_t[b, a] = minimal[0]
     return meet_t.tolist(), join_t.tolist()
+
+
+def reference_covers(poset):
+    """Each element's upper covers, the minimal members of its strict up-set."""
+    return tuple((a, b) for a in range(poset.n)
+                 for b in extremal(poset.up[a] ^ 1 << a, poset.down))
+
+
+def reference_join_irreducibles(poset):
+    """The elements whose strict down-set has exactly one maximal member."""
+    return [j for j in range(poset.n) if len(extremal(poset.down[j] ^ 1 << j, poset.up)) == 1]
+
+
+def reference_join_primes(poset):
+    """For every join-irreducible j, the elements not above j have
+    exactly one maximal member."""
+    everything = (1 << poset.n) - 1
+    return all(len(extremal(everything ^ poset.up[j], poset.up)) == 1
+               for j in reference_join_irreducibles(poset))
 
 
 def reference_distributive(lattice):
@@ -172,8 +202,22 @@ def bounded_dag(draw):
     return build_poset([names[i] for i in rng.permutation(m + 2)], pairs)
 
 
+def in_extension(poset):
+    """The same order re-declared with its elements in a linear
+    extension, so that Poset.extension keeps index order."""
+    order = sorted(range(poset.n), key=lambda e: poset.down[e].bit_count())
+    names = poset.names
+    redeclared = build_poset([names[e] for e in order],
+                             [(names[a], names[b]) for a, b in reference_covers(poset)])
+    assert redeclared.extension[0] == range(poset.n)
+    return redeclared
+
+
 def assert_agrees(poset):
-    """lattice_check and the two law checks equal the references."""
+    """The covers, join-irreducibles, lattice_check, the join-prime test
+    and the two law checks equal the references."""
+    assert poset.covers == reference_covers(poset)
+    assert _join_irreducibles(poset) == reference_join_irreducibles(poset)
     try:
         want = reference_tables(poset)
     except NotALattice as exc:
@@ -184,6 +228,7 @@ def assert_agrees(poset):
         assert str(got.value) == str(exc)
         return "not a lattice"
     lattice = lattice_check(poset)
+    assert _join_primes(lattice) == reference_join_primes(poset)
     assert [row.tolist() for row in lattice.meet_table] == want[0]
     assert [row.tolist() for row in lattice.join_table] == want[1]
     dist, mod = check_distributive(lattice), check_modular(lattice)
@@ -195,13 +240,29 @@ def assert_agrees(poset):
 @settings(max_examples=150, deadline=None)
 @given(poset=st.one_of(union_closed(), dedekind_macneille(), glued()))
 def test_lattices_agree_with_the_reference_scans(poset):
-    assert_agrees(poset)
+    assert assert_agrees(poset) == assert_agrees(in_extension(poset))
 
 
 @settings(max_examples=150, deadline=None)
 @given(poset=bounded_dag())
 def test_bounded_posets_agree_with_the_reference_scans(poset):
-    assert_agrees(poset)
+    assert assert_agrees(poset) == assert_agrees(in_extension(poset))
+
+
+def test_index_order_extensions_are_never_transposed(monkeypatch):
+    """Builders, and a .lat declared bottom-up, keep index order as their
+    linear extension: classifying them never relabels the cones.  A chain
+    declared top-down does relabel them."""
+    def refuse(rows, n):
+        raise AssertionError("cones transposed")
+
+    monkeypatch.setattr(core, "_transpose", refuse)
+    for lattice in (builders.powerset(6), builders.mo(8),
+                    lattice_from_document(parse_lattice((DATA / "petersen.lat").read_text()))):
+        classify(lattice)
+        assert lattice.poset.extension[0] == range(lattice.n)
+    with pytest.raises(AssertionError, match="cones transposed"):
+        lattice_check(build_poset(["c2", "c1", "c0"], [("c0", "c1"), ("c1", "c2")]))
 
 
 def test_every_outcome_is_reached():
