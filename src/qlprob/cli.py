@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .core import CapExceeded, LatticeError, OrthoLattice
@@ -211,7 +212,7 @@ def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
 def cmd_hilbert(args) -> int:
     from . import hilbert, states  # numpy loads with hilbert; no other command needs either
     from .classify import classify
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
+    tolerance = args.tolerance if args.tolerance is not None else hilbert.EQUALITY_TOL
     scans = {"ie": states.inclusion_exclusion_scan, "subadd": states.subadditivity_scan}
     try:
         seeds = _load_seeds(args.seeds)
@@ -297,7 +298,7 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 def cmd_cox(args) -> int:
     from . import funceq
     try:
-        tolerance = args.tolerance if args.tolerance is not None else 1e-9
+        tolerance = args.tolerance if args.tolerance is not None else funceq.CHECK_TOLERANCE
         if args.check == "involution":
             rule = _load_rule(args.rule, 1)
             report = funceq.check_involution(rule, tolerance=tolerance)
@@ -356,6 +357,7 @@ def _failure(err: Exception, code: int) -> int:
     return code
 
 
+@cache  # parse_args leaves the parser as it was, so main() can reuse it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlprob",

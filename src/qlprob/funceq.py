@@ -26,7 +26,14 @@ from typing import Callable
 
 from .core import Record
 
-DOMAIN_SLACK = 1e-12
+# Float tolerances, each an absolute bound on one kind of difference (README).
+DOMAIN_SLACK = 1e-12  # a point this far outside [lo, hi] is inside
+CHECK_TOLERANCE = 1e-9  # default bound on an involution or associativity residual
+ZERO_SLACK = 1e-9  # |f(lo, lo) − lo| up to this is an additive zero
+TOP_SLACK = 1e-9  # a w-sum this far past w(hi) still maps back, to at most hi
+STEP_SLACK = 1e-15  # a ruler step this far past x still counts toward w(x)
+RULER_END = 1e-14  # halving stops at a tick this close to lo, times max(1, hi − lo)
+RESIDUAL_LIMIT = 1e-6  # the largest additivity residual a regraduation may keep
 MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
 
 
@@ -163,7 +170,8 @@ class InvolutionReport(Record):
     identity: bool
 
 
-def check_involution(g: CoxFunction, grid_size: int = 33, tolerance: float = 1e-9) -> InvolutionReport:
+def check_involution(g: CoxFunction, grid_size: int = 33,
+                     tolerance: float = CHECK_TOLERANCE) -> InvolutionReport:
     """Measure g(g(x)) − x on a uniform grid.  g must map the interval
     into itself; a point sent outside raises DomainEscape."""
     if g.arity != 1:
@@ -197,7 +205,8 @@ class AssociativityReport(Record):
     skipped: int
 
 
-def check_associativity(f: CoxFunction, grid_size: int = 33, tolerance: float = 1e-9) -> AssociativityReport:
+def check_associativity(f: CoxFunction, grid_size: int = 33,
+                        tolerance: float = CHECK_TOLERANCE) -> AssociativityReport:
     """Measure f(f(x,y),z) − f(x,f(y,z)) over the grid cube.  Triples a
     sample-backed rule cannot complete are skipped; more than half
     skipped aborts with TooManySkips."""
@@ -281,14 +290,14 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
             k = min(range(len(grid) - 1), key=lambda k: series[k + 1] - series[k])  # first minimum
             if series[k + 1] - series[k] <= 0:
                 raise NotRegraduable("non-monotone", f"flat or decreasing near ({grid[k]:g}, {y:g})")
-    if abs(f(f.lo, f.lo) - f.lo) > 1e-9:
+    if abs(f(f.lo, f.lo) - f.lo) > ZERO_SLACK:
         raise NotRegraduable(
             "no-additive-zero", f"f({f.lo:g}, {f.lo:g}) = {f(f.lo, f.lo):g}"
         )
 
     anchor = grid[1]
     rulers = [anchor]
-    while rulers[-1] - f.lo > 1e-14 * max(1.0, f.hi - f.lo) and len(rulers) < 60:
+    while rulers[-1] - f.lo > RULER_END * max(1.0, f.hi - f.lo) and len(rulers) < 60:
         rulers.append(_bisect_diagonal(call, rulers[-1], f.lo, rulers[-1]))
 
     @lru_cache(maxsize=MEASURE_CACHE)
@@ -301,7 +310,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
             weight = 0.5 ** level
             for _ in range(10_000):
                 step = call(position, tick)
-                if step > x + 1e-15 or step <= position:
+                if step > x + STEP_SLACK or step <= position:
                     break
                 position = step
                 total += weight
@@ -331,7 +340,7 @@ def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
             if value > f.hi + DOMAIN_SLACK:
                 continue
             residual = max(residual, abs(measure(value) - measure(x) - measure(y)))
-    if residual > 1e-6:
+    if residual > RESIDUAL_LIMIT:
         raise NotRegraduable("residual-too-large", f"{residual:.3e}")
     return RegraduationResult(
         w=w,
@@ -356,7 +365,7 @@ def additive_conjugate(result: RegraduationResult) -> CoxFunction:
 
     def rule(x, y):
         total = measure(x) + measure(y)
-        if total > top + 1e-9:
+        if total > top + TOP_SLACK:
             raise DomainEscape(total)
         return inverse(total)
 

@@ -13,8 +13,8 @@ element lies in some block; an element's value is the sum of its atoms
 in any block that holds it.  So a state is fixed by its atom values
 x >= 0, subject to one "atoms sum to 1" row per block and one agreement
 row wherever two blocks share an element.  That small system has the
-solutions of the full additivity system, which build_state_system keeps
-for is_state and the simplex fallback of find_state.
+solutions of the full additivity system; build_state_system writes that
+out only as the reference that is_state is tested against.
 
 All polytope work is exact: coefficients are Fractions throughout, and
 equality claims in reports mean equality of rationals, not closeness.
@@ -26,11 +26,11 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CapExceeded, OrthoLattice, Record
+from .core import CapExceeded, OrthoLattice, Record, _bits
 from .classify import iter_blocks, require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 # the rays the vertex search may keep after any of its cuts
 ENUMERATION_BUDGET = 1024
@@ -80,7 +80,7 @@ class Valuation(Record):
 
 
 class Row(Record):
-    """One equality: coeffs · s = rhs, coefficients indexed by element."""
+    """One reference-system equality: coeffs · s = rhs, indexed by element."""
 
     coeffs: tuple
     rhs: Fraction
@@ -92,6 +92,7 @@ class Row(Record):
 
 
 class StateSystem(Record):
+    """The reference system of build_state_system."""
     variables: tuple[str, ...]
     rows: tuple[Row, ...]
 
@@ -135,9 +136,9 @@ def _normalize(coeffs: list[Fraction], rhs: Fraction):
 
 
 def build_state_system(ortho: OrthoLattice) -> StateSystem:
-    """Equality rows for the state polytope, deduplicated and in a
-    fixed order: bottom, top, then one additivity row per orthogonal
-    pair taken in index order."""
+    """The reference system: the state rows, deduplicated, in a fixed order:
+    bottom, top, then one additivity row per orthogonal pair in index
+    order.  No program path builds it; is_state walks the same rows."""
     require_orthomodular(ortho)
     n = ortho.n
     rows: list[Row] = []
@@ -174,36 +175,36 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
     """Check every state constraint.  tolerance defaults to 0 for exact
     valuations and to FLOAT_TOLERANCE otherwise.  The complement law
     s(¬a) = 1 − s(a) is implied by the system; its worst residual is
-    reported but does not decide passed."""
+    reported but does not decide passed.  The rows are build_state_system's,
+    walked with no system built: bottom, top, then s(a∨b) − s(a) − s(b)
+    per orthogonal pair a < b without the bottom, signed as _normalize
+    signs it and summed in index order as Row.residual sums it."""
     if valuation.lattice is not ortho and valuation.lattice.names != ortho.names:
         raise DomainMismatch("valuation built for a different lattice")
     if tolerance is None:
         tolerance = 0 if valuation.is_exact() else FLOAT_TOLERANCE
-    system = build_state_system(ortho)
-    values = valuation.values
+    require_orthomodular(ortho)
+    values, names, bottom, top = valuation.values, ortho.names, ortho.bottom, ortho.top
     violations: list[Violation] = []
     for i, v in enumerate(values):
         if v < -tolerance or v > 1 + tolerance:
-            out = -v if v < 0 else v - 1
-            violations.append(Violation("range", (ortho.names[i],), out))
-    for row in system.rows:
-        res = row.residual(values)
+            violations.append(Violation("range", (names[i],), -v if v < 0 else v - 1))
+    plus, minus = [_ONE * v for v in values], [-_ONE * v for v in values]
+    rows = [("bottom", (bottom,), (plus[bottom],), _ZERO), ("top", (top,), (plus[top],), _ONE)]
+    others = ((1 << ortho.n) - 1) ^ (1 << bottom)
+    for a in _bits(others):
+        for b in _bits(ortho.poset.down[ortho.neg[a]] & (others >> a + 1 << a + 1)):
+            c = ortho.join_table[a][b]
+            terms = ((plus[c], minus[a], minus[b]) if c < a else (plus[a], minus[c], plus[b])
+                     if c < b else (plus[a], plus[b], minus[c]))
+            rows.append(("additivity", (a, b), terms, _ZERO))
+    for kind, elements, terms, rhs in rows:
+        res = sum(terms) - rhs
         if abs(res) > tolerance:
-            if row.label == "bottom":
-                kind, names = "bottom", (ortho.names[ortho.bottom],)
-            elif row.label == "top":
-                kind, names = "top", (ortho.names[ortho.top],)
-            else:
-                kind, names = "additivity", tuple(row.label.split()[1:])
-            violations.append(Violation(kind, names, res))
-    comp = max(
-        abs(values[a] + values[ortho.neg[a]] - 1) for a in range(ortho.n)
-    )
-    return StateCheckReport(
-        passed=not violations,
-        violations=tuple(violations),
-        complement_residual=comp,
-    )
+            violations.append(Violation(kind, tuple(names[e] for e in elements), res))
+    comp = max(abs(values[a] + values[ortho.neg[a]] - 1) for a in range(ortho.n))
+    return StateCheckReport(passed=not violations, violations=tuple(violations),
+                            complement_residual=comp)
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -324,9 +325,10 @@ def find_state(ortho: OrthoLattice) -> Valuation:
     vertex search keeps more than ENUMERATION_BUDGET rays."""
     try:
         vertices = extreme_states(ortho, cap=256)
-    except CapExceeded:
-        rows = [(r.coeffs, r.rhs, r.label) for r in build_state_system(ortho).rows]
-        return Valuation(ortho, tuple(solve_in_unit_box(rows, ortho.n)))
+    except CapExceeded:  # one vertex of the atom system, mapped back through below
+        rows, _, below = _atom_system(ortho)
+        x = solve_in_unit_box([(r[1:], -r[0], f"row {k}") for k, r in enumerate(rows)], len(ortho.atoms))
+        return Valuation(ortho, tuple(sum((x[j - 1] for j in below[e]), _ZERO) for e in range(ortho.n)))
     return _mix(ortho, vertices, [1] * len(vertices))
 
 

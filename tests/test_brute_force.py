@@ -5,7 +5,8 @@ bounded posets that are mostly not lattices, each declared both in
 shuffled order and in a linear extension; and the order that
 build_poset closes, its cycle and bound reports and the order-reversal
 check of a negation, against the dense-matrix code they replaced; and
-the state polytope's vertices against the basis enumeration.
+the state polytope's vertices against the basis enumeration; and
+is_state against the full additivity system it used to build.
 
 The references are the bound search and the triple scans as they were
 before the decide-first tests: every pair's extremal bounds, and every
@@ -14,8 +15,12 @@ and join-primes as extremal members of cones, as they were found before
 the linear extension.  The order references are the
 closure by n outer products and the all-pairs reversal test.  The
 vertex reference solves the square subsystem of every choice of
-rank-many atoms, as extreme_states did before double description."""
+rank-many atoms, as extreme_states did before double description.  The
+state-check reference is build_state_system's deduplicated rows, each
+residual summed by Row.residual, as is_state checked before it walked
+the orthogonal pairs."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlprob import builders, core
+from qlprob import builders, core, hilbert
 from qlprob.classify import (
     _join_irreducibles,
     _join_primes,
@@ -43,8 +48,10 @@ from qlprob.core import (
     lattice_check,
 )
 from qlprob.io import lattice_from_document, parse_lattice
-from qlprob.states import _atom_system, _rref, extreme_states
-from tests.conftest import DATA, greechie_text, petersen_blocks
+from qlprob.states import (
+    FLOAT_TOLERANCE, Valuation, _atom_system, _rref, build_state_system, extreme_states, is_state,
+)
+from tests.conftest import DATA, greechie_text, petersen_blocks, two_plane_seeds
 
 
 def reference_tables(poset):
@@ -477,3 +484,96 @@ def test_vertices_on_petersen_subdiagrams_agree_with_the_basis_enumeration(verti
 ])
 def test_vertices_agree_with_the_basis_enumeration(spec):
     assert_same_vertices(load_source(spec)[1])
+
+
+def reference_state_check(ortho, valuation, tolerance):
+    """(kind, names, residual) of every violation, from the full system."""
+    if tolerance is None:
+        tolerance = 0 if valuation.is_exact() else FLOAT_TOLERANCE
+    out = [("range", (ortho.names[i],), -v if v < 0 else v - 1)
+           for i, v in enumerate(valuation.values) if v < -tolerance or v > 1 + tolerance]
+    names = {"bottom": (ortho.names[ortho.bottom],), "top": (ortho.names[ortho.top],)}
+    for row in build_state_system(ortho).rows:
+        residual = row.residual(valuation.values)
+        if abs(residual) > tolerance:
+            label = row.label.split()
+            out.append(("additivity" if label[0] == "add" else label[0],
+                        names.get(label[0], tuple(label[1:])), residual))
+    return out
+
+
+def assert_same_state_check(ortho, valuation, tolerance):
+    """is_state and the reference agree on every violation's kind,
+    names, residual value and residual type; returns the kinds seen."""
+    report = is_state(ortho, valuation, tolerance)
+    expected = reference_state_check(ortho, valuation, tolerance)
+    assert [(v.kind, v.elements, repr(v.residual), type(v.residual)) for v in report.violations] \
+        == [(kind, names, repr(r), type(r)) for kind, names, r in expected]
+    assert report.passed == (not expected)
+    return {kind for kind, _, _ in expected}
+
+
+STATE_SOURCES = [*(f"powerset:{n}" for n in range(4, 7)), *(f"mo:{n}" for n in range(3, 7)), "l12"]
+
+
+@functools.cache
+def state_lattice(source):
+    """The lattice of a source name, with the exact vertices of its
+    state polytope, or a Born valuation for the Hilbert closure."""
+    if source == "hilbert":
+        ortho, embedding = hilbert.generate_sublattice(two_plane_seeds(2, np.random.default_rng(5)))
+        rho = hilbert.random_density(4, np.random.default_rng(3))
+        return ortho, [hilbert.born_valuation(rho, ortho, embedding).values]
+    if source.startswith("petersen"):
+        text = greechie_text(petersen_blocks([int(v) for v in source.split(":")[1]]))
+        ortho = lattice_from_document(parse_lattice(text))
+    else:
+        ortho = load_source(source)[1]
+    return ortho, [v.values for v in extreme_states(ortho)]
+
+
+@st.composite
+def state_checks(draw):
+    """A lattice and a valuation on it: a vertex or the midpoint of two
+    (the Born valuation on the Hilbert closure) as exact Fractions, plain
+    floats or numpy floats, with a few entries, the bottom and top among
+    them, moved by exact or float steps; and a tolerance, 0 or the
+    default."""
+    source = draw(st.sampled_from([*STATE_SOURCES, "hilbert", "petersen"]))
+    if source == "petersen":
+        blocks = draw(st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=4))
+        source += ":" + "".join(map(str, sorted(blocks)))
+    ortho, points = state_lattice(source)
+    first, second = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+    values = [(x + y) / 2 for x, y in zip(first, second)]
+    form = "float" if source == "hilbert" else draw(st.sampled_from(["exact", "float", "numpy"]))
+    if form != "exact":
+        values = [(np.float64 if form == "numpy" else float)(v) for v in values]
+    elements = st.sampled_from([ortho.bottom, ortho.top, *range(ortho.n)])
+    steps = ([Fraction(k, 8) for k in range(-8, 9)] if form == "exact"
+             else [-0.5, -1e-3, 1e-12, 1e-3, 0.5])
+    for e, step in draw(st.lists(st.tuples(elements, st.sampled_from(steps)), max_size=4)):
+        values[e] += step
+    return ortho, Valuation(ortho, tuple(values)), draw(st.sampled_from([None, 0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=state_checks())
+def test_state_checks_agree_with_the_full_system(case):
+    assert_same_state_check(*case)
+
+
+def test_state_checks_reach_every_violation_kind():
+    """Exact, float and numpy valuations of each source, moved at the
+    bottom, the top and one atom, between them violate every kind."""
+    seen = set()
+    for source in [*STATE_SOURCES, "hilbert", "petersen:0123"]:
+        ortho, points = state_lattice(source)
+        for form in (Fraction, float, np.float64):
+            values = [form(v) for v in points[0]]
+            assert_same_state_check(ortho, Valuation(ortho, tuple(values)), 0)
+            for e, step in ((ortho.bottom, form(1) / 4), (ortho.top, -form(1) / 4),
+                            (ortho.atoms[0], form(5) / 4)):
+                values[e] += step
+            seen |= assert_same_state_check(ortho, Valuation(ortho, tuple(values)), 0)
+    assert seen == {"range", "bottom", "top", "additivity"}

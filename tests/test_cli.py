@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qlprob import states
+from qlprob import cli, states
 from qlprob.cli import main
 from tests.conftest import DATA, greechie_text, petersen_blocks
 
@@ -334,3 +334,32 @@ def test_repeat_runs_identical_bytes(capsys):
     main(["states", "l12", "extremes"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_one_parser_serves_every_call(capsys, d2_seeds):
+    """main() builds its parser once a process.  A run of mixed commands,
+    with usage errors (exit 2) between valid calls and a --help, prints
+    and exits as it does with a fresh parser for every call."""
+    calls = [["classify", "l12"], ["states", "l12", "nosuchmode"], ["states", "mo:2", "find"],
+             ["check", "l12", str(DATA / "l12_quarter.val"), "--float", "--tolerance", "0"],
+             ["classify", "n5", "--exact", "--float"], ["classify", "n5"],
+             ["hilbert", d2_seeds, "--rho", "random", "--seed", "3"], ["cox", "--help"],
+             ["cox", "square", "involution"], ["states", "l12", "relations", "--cap", "0"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 2, 0, 0, 0, 1, 2]
+    assert outcomes(fresh=True) == reused

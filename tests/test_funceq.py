@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 from qlprob import funceq
+from qlprob.cli import main
 from qlprob.funceq import (
+    CHECK_TOLERANCE,
     DOMAIN_SLACK,
     MEASURE_CACHE,
+    RULER_END,
+    STEP_SLACK,
+    TOP_SLACK,
     CoxFunction,
     DomainEscape,
     NotRegraduable,
@@ -322,3 +327,56 @@ def test_fraction_formula_reports_floats(monkeypatch):
     monkeypatch.setattr(funceq, "_formula", lambda f: f)
     assert run() == direct
     assert all(type(v) is float for v in (direct[0], direct[4], *direct[1], *direct[5], direct[6]))
+
+
+# Pairs of thresholds that judge the same quantity (README, "Float
+# tolerances"): each test fails if the two disagree about a value.
+
+def test_regraduation_keeps_what_w_measures():
+    """A value of f at most DOMAIN_SLACK past hi is kept by the residual
+    loop and measured by w, which guards with the same slack; a value
+    further out is skipped, not measured (or w would raise)."""
+    grid = _linspace(0.0, 1.0, 33)
+    for eps, kept in ((2 * DOMAIN_SLACK, True), (40 * DOMAIN_SLACK, False)):
+        rule = CoxFunction(arity=2, lo=0.0, hi=1.0, fn=lambda x, y, e=eps: x + y + e * x * y)
+        past = [rule(x, y) - 1.0 for x in grid for y in grid if rule(x, y) > 1.0]
+        assert any(p <= DOMAIN_SLACK for p in past) is kept
+        assert regraduate(rule).max_residual < 1e-12
+
+
+def test_conjugate_top_maps_back_inside_the_domain():
+    """A w-sum at most TOP_SLACK past w(hi) maps back to a point of
+    [lo, hi] that w measures; one further out raises DomainEscape."""
+    result = regraduate(builtin("sumprod"))
+    conjugate, w = additive_conjugate(result), result.w
+    tiny = TOP_SLACK / 128  # w has slope about 32 at 0, so w(tiny) is about TOP_SLACK / 4
+    assert 0 < w(tiny) <= TOP_SLACK
+    x = conjugate(w.hi, tiny)
+    assert w.lo <= x <= w.hi
+    assert w(x) == pytest.approx(w(w.hi))
+    with pytest.raises(DomainEscape):
+        conjugate(w.hi, 8 * tiny)
+
+
+def test_ruler_counts_a_step_within_the_slack_and_not_a_finest_tick():
+    """w counts a ruler step that lands at most STEP_SLACK past x, and
+    not one RULER_END past: the slack is below the ruler's finest tick.
+    For x + y, w(x) = 32x, and 3/4 is 24 steps of the anchor 1/32."""
+    w = regraduate(builtin("sum")).w
+    assert STEP_SLACK < RULER_END / 2
+    assert w(0.75) == w(0.75 - STEP_SLACK / 2) == 24.0
+    assert w(0.75 - RULER_END) < 24.0
+
+
+def test_cox_default_tolerance_is_the_library_default(tmp_path, capsys):
+    """`cox … involution` without --tolerance passes exactly when
+    check_involution passes with its default; the rule g with g(0) = 1
+    and g(1) = e has residual e at 0."""
+    for e in (CHECK_TOLERANCE / 2, 2 * CHECK_TOLERANCE):
+        path = tmp_path / "rule.csv"
+        path.write_text(f"0,1\n1,{e!r}\n")
+        report = check_involution(from_samples_unary([(0.0, 1.0), (1.0, e)]))
+        assert report.max_residual == pytest.approx(e)
+        assert main(["cox", str(path), "involution"]) == (0 if report.passed else 1)
+        assert report.passed is (e < CHECK_TOLERANCE)
+        capsys.readouterr()

@@ -6,6 +6,7 @@ fixtures (L12 has five extreme states, the n-atom set algebra has n
 point masses, the quarter valuation is a state) before the solver code
 existed."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlprob import builders, hilbert, states
-from qlprob.cli import load_source
+from qlprob.cli import load_source, main
 from qlprob.core import NotOrthomodular
 from qlprob.io import lattice_from_document, parse_lattice
 from qlprob.states import (
@@ -38,6 +39,7 @@ from qlprob.states import (
 from tests.conftest import DATA, greechie_text, petersen_blocks, two_plane_seeds
 
 F = Fraction
+D3_SEEDS = DATA.parents[2] / "scripts" / "cli_jobs" / "d3.json"
 
 
 def quarter(l12):
@@ -49,12 +51,14 @@ def quarter(l12):
 
 
 def test_system_shape(l12):
-    system = build_state_system(l12)
-    assert system.variables == l12.names
-    assert len(system.rows) == 13
-    assert [r.label for r in system.rows[:2]] == ["bottom", "top"]
-    assert all(label.startswith(("bottom", "top", "add")) for label in
-               (r.label for r in system.rows))
+    """A valuation of 1/2 everywhere fails every state row once, in the
+    system's order: bottom, top, then the 11 orthogonal pairs of L12
+    without the bottom, in index order."""
+    report = is_state(l12, Valuation(l12, (F(1, 2),) * l12.n))
+    assert [v.kind for v in report.violations] == ["bottom", "top"] + ["additivity"] * 11
+    pairs = [v.elements for v in report.violations[2:]]
+    assert pairs == sorted(pairs, key=lambda p: (l12.index[p[0]], l12.index[p[1]]))
+    assert all(abs(v.residual) == F(1, 2) for v in report.violations)
 
 
 def test_quarter_valuation_is_exact_state(l12):
@@ -87,7 +91,7 @@ def test_range_violation_detected(l12):
 
 def test_non_orthomodular_refused(o6):
     with pytest.raises(NotOrthomodular):
-        build_state_system(o6)
+        is_state(o6, Valuation(o6, (F(1, 2),) * o6.n))
     with pytest.raises(NotOrthomodular):
         extreme_states(o6)
 
@@ -232,8 +236,10 @@ def test_atom_system_matches_the_full_system(vertices):
             assert all(rel.holds(v) for rel in relations)
 
 
-def test_relations_and_vertices_skip_the_full_system(l12, monkeypatch):
-    """Relations and vertices come from the blocks alone."""
+def test_relations_and_vertices_skip_the_full_system(l12, monkeypatch, capsys):
+    """Relations and vertices come from the blocks alone, and no command
+    builds the full system: not check, not find (by vertices on mo:4, by
+    the simplex fallback on mo:11), not a hilbert scan."""
     def refuse(ortho):
         raise AssertionError("build_state_system called")
 
@@ -245,6 +251,12 @@ def test_relations_and_vertices_skip_the_full_system(l12, monkeypatch):
         for v in extreme_states(l12)
     )
     assert supports == [("b", "l"), ("b", "r"), ("f", "l"), ("f", "r"), ("n",)]
+    for argv in (["check", "l12", str(DATA / "l12_quarter.val")], ["states", "mo:4", "find"],
+                 ["states", "mo:11", "find"],
+                 ["hilbert", str(D3_SEEDS), "--scan", "ie"]):
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc.get("passed") or doc.get("verified") or doc["state_check"]["passed"]) is True
 
 
 def dense_normalize(coeffs, rhs):
@@ -289,9 +301,15 @@ def test_sparse_normalisation_gives_the_dense_rows(source):
         ortho, _ = hilbert.generate_sublattice(two_plane_seeds(2, np.random.default_rng(5)))
     else:
         _, ortho = load_source(source)
-    system = build_state_system(ortho)
-    assert [(r.coeffs, r.rhs, r.label) for r in system.rows] == dense_state_rows(ortho)
-    assert len({id(c) for r in system.rows for c in r.coeffs if not c}) == 1
+    values = tuple(F(1 << e, 2 << ortho.n) for e in range(ortho.n))  # fails every row
+    report = is_state(ortho, Valuation(ortho, values))
+    assert [(v.elements, v.residual) for v in report.violations] == [
+        ((ortho.names[ortho.bottom],) if label == "bottom" else (ortho.names[ortho.top],)
+         if label == "top" else tuple(label.split()[1:]),
+         sum(c * v for c, v in zip(coeffs, values)) - rhs)
+        for coeffs, rhs, label in dense_state_rows(ortho)]
+    relations = implied_affine_relations(ortho)
+    assert len({id(c) for r in relations for c in r.coeffs if not c}) <= 1
 
 
 @pytest.mark.parametrize("spec", ["powerset:6", str(DATA / "petersen.lat")],
