@@ -7,6 +7,7 @@ floating point: subspaces compare equal when their projectors are within
 EQUALITY_TOL in Frobenius norm, and basis orthonormality is maintained
 to ORTHONORMAL_TOL.  The two thresholds are kept two orders of
 magnitude apart so rank decisions never contradict equality decisions.
+The closure forms only joins and complements: a meet is ¬(¬a ∨ ¬b).
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import numpy as np  # last: qlprob's modules compiled after numpy raise the peak
 
 ORTHONORMAL_TOL = 1e-10
 EQUALITY_TOL = 1e-8
+DENSITY_TOL = 1e-10  # a density matrix's Hermitian defect, negative eigenvalue and trace defect
+BORN_SLACK = 1e-10  # how far outside [0, 1] a trace value is clamped rather than refused
+KEY_DECIMALS = 9  # projector entries are rounded to this many decimals to order the elements
 MAX_DIMENSION = 8
-PAIR_CHUNK = 64  # closure pairs per batch of stacked SVDs; bounds the batch's memory
+PAIR_CHUNK = 64  # closure pairs joined per batch of stacked SVDs; bounds the batch's memory
 
 
 class DimensionMismatch(Exception):
@@ -102,7 +106,7 @@ def _svd_bases(mats: np.ndarray, widths: list[int], complement: bool = False):
 
 def subspace_from_vectors(d: int, vectors) -> Subspace:
     """Orthonormalize a spanning set; rank from singular values against
-    1e-10 times the largest."""
+    ORTHONORMAL_TOL times the largest."""
     _check_dimension(d)
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     for v in vecs:
@@ -149,12 +153,12 @@ class DensityMatrix(Record):
         _check_dimension(m.shape[0])
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
-        if np.linalg.norm(m - m.conj().T) >= 1e-10:
+        if np.linalg.norm(m - m.conj().T) >= DENSITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues.min() <= -1e-10:
+        if eigenvalues.min() <= -DENSITY_TOL:
             raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
-        if abs(np.trace(m).real - 1) >= 1e-10:
+        if abs(np.trace(m).real - 1) >= DENSITY_TOL:
             raise ValueError(f"trace {np.trace(m).real} is not 1")
 
     @property
@@ -185,17 +189,17 @@ def random_density(d: int, rng: np.random.Generator) -> DensityMatrix:
 
 
 def born(rho: DensityMatrix, subspace: Subspace) -> float:
-    """tr(rho P), guaranteed real in [0,1] up to clamping at 1e-10."""
+    """tr(rho P), guaranteed real in [0,1] up to clamping at BORN_SLACK."""
     if rho.d != subspace.d:
         raise DimensionMismatch(f"{rho.d} vs {subspace.d}")
     value = float(np.trace(rho.matrix @ subspace.projector()).real)
-    if value < -1e-10 or value > 1 + 1e-10:
+    if value < -BORN_SLACK or value > 1 + BORN_SLACK:
         raise NumericalBreakdown(f"trace value {value} outside the unit interval")
     return min(1.0, max(0.0, value))
 
 
 def _canonical_key(s: Subspace):
-    rounded = np.round(s.projector(), 9) + 0.0  # normalize -0.0
+    rounded = np.round(s.projector(), KEY_DECIMALS) + 0.0  # normalize -0.0
     return (s.dim, tuple(rounded.real.ravel()), tuple(rounded.imag.ravel()))
 
 
@@ -207,36 +211,31 @@ def _first_within(stack: np.ndarray, p: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _pair_candidates(i, j, bases, dims, cobases, codims):
-    """meet(i[t], j[t]) and join(i[t], j[t]), as candidates 2t and 2t + 1, with
-    the arithmetic of meet_s and join_s on padded bases and dimensions."""
-    def join(bases, dims):  # j's columns follow i's
-        d = bases.shape[1]
-        mats = np.zeros((len(i), d, 2 * d), dtype=np.complex128)
-        mats[:, :, :d] = bases[i]
-        for k in set(dims[a] for a in i):
-            rows = [t for t, a in enumerate(i) if dims[a] == k]
-            mats[rows, :, k:k + d] = bases[[j[t] for t in rows]]
-        return _svd_bases(mats, [dims[a] + dims[b] for a, b in zip(i, j)])
-
-    meets, joins = _svd_bases(*join(cobases, codims), complement=True), join(bases, dims)
-    bases = np.stack((meets[0], joins[0]), axis=1).reshape(2 * len(i), *meets[0].shape[1:])
-    return bases, [r for pair in zip(meets[1], joins[1]) for r in pair]
+def _pair_candidates(i, j, bases, dims):
+    """join(i[t], j[t]) as candidate t, with the arithmetic of join_s on padded
+    bases and dimensions: j's columns follow i's."""
+    d = bases.shape[1]
+    mats = np.zeros((len(i), d, 2 * d), dtype=np.complex128)
+    mats[:, :, :d] = bases[i]
+    for k in set(dims[a] for a in i):
+        rows = [t for t, a in enumerate(i) if dims[a] == k]
+        mats[rows, :, k:k + d] = bases[[j[t] for t in rows]]
+    return _svd_bases(mats, [dims[a] + dims[b] for a, b in zip(i, j)])
 
 
 def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subspace, ...]]:
-    """Close the seeds under meet, join, and complement, then rebuild
-    the result as a verified abstract ortholattice.
+    """Close the seeds under join and complement, which closes them under
+    meet too, then rebuild the result as a verified abstract ortholattice.
 
     Returns the lattice together with the element-indexed subspace
     embedding.  Closure is breadth-first, and a candidate is kept unless
-    an element kept before it lies within EQUALITY_TOL.  Each round's
-    pairs go PAIR_CHUNK at a time into stacked SVDs; a batch's candidates
-    meet the elements kept before the batch in one array operation, each
-    only those of its own rank, and the survivors then meet the elements
-    kept within the batch one by one.  Each complement is computed once
-    and serves the meets too.  Element order is by (dimension, projector
-    entries), which keeps runs deterministic."""
+    an element kept before it lies within EQUALITY_TOL.  A round adds the
+    complements of its frontier, then joins once each pair of elements
+    held before them with one in the frontier, PAIR_CHUNK pairs to a batch
+    of stacked SVDs; a batch's candidates meet the elements kept before it
+    in one array operation, each only those of its own rank, and the
+    survivors then meet those kept within it one by one.  Element order
+    is by (dimension, projector entries), which keeps runs deterministic."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed subspace required")
@@ -246,17 +245,15 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
             raise DimensionMismatch(f"{s.d} vs {d}")
 
     elements: list[Subspace] = []
-    perps: list[Subspace] = []  # ortho_s(elements[i])
-    store = np.zeros((16, 3, d, d), dtype=np.complex128)  # projector, zero-padded basis and perp's
+    perps: list[Subspace] = []  # ortho_s(elements[i]), from the round element i is frontier
+    store = np.zeros((16, 2, d, d), dtype=np.complex128)  # projector and zero-padded basis
 
     def keep(s: Subspace):
         nonlocal store
         if len(elements) == len(store):
             store = np.concatenate([store, np.zeros_like(store)])
-        perp, n = ortho_s(s), len(elements)
-        store[n, 0], store[n, 1, :, :s.dim], store[n, 2, :, :perp.dim] = s.projector(), s.basis, perp.basis
+        store[len(elements), 0], store[len(elements), 1, :, :s.dim] = s.projector(), s.basis
         elements.append(s)
-        perps.append(perp)
 
     def add(projectors, ranks, build):
         """Keep each candidate in turn unless an element lies within EQUALITY_TOL:
@@ -280,15 +277,14 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     # every round's frontier is the run of elements the round before added
     frontier = range(len(elements))
     while frontier:
-        start = len(elements)
-        add(np.array([perps[i].projector() for i in frontier]), [perps[i].dim for i in frontier],
-            lambda u: perps[frontier[u]])
-        n = len(elements)
-        pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if i in frontier or j in frontier)
-        dims = [s.dim for s in elements]
+        start, dims = len(elements), [s.dim for s in elements]
+        bases, ranks = _svd_bases(store[frontier.start:start, 1], dims[frontier.start:], complement=True)
+        perps += [Subspace(d, basis[:, :r].copy()) for basis, r in zip(bases, ranks)]
+        add(np.array([s.projector() for s in perps[frontier.start:]]), ranks, lambda u: perps[frontier[u]])
+        pairs = ((i, j) for i in range(start) for j in range(max(i + 1, frontier.start), start))
         while chunk := list(islice(pairs, PAIR_CHUNK)):
             i, j = map(list, zip(*chunk))
-            bases, ranks = _pair_candidates(i, j, store[:n, 1], dims, store[:n, 2], [d - k for k in dims])
+            bases, ranks = _pair_candidates(i, j, store[:start, 1], dims)
             # rank 0 is element 0; a rank-d basis passed the orthonormality test, so its
             # projector lies within d * ORTHONORMAL_TOL < EQUALITY_TOL of element 1
             live = [u for u, r in enumerate(ranks) if 0 < r < d]

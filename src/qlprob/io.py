@@ -19,8 +19,10 @@ where a number is ``p/q`` (kept exact) or a decimal (parsed to float).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Lattice, OrthoLattice, Record, attach_ortho, build_poset, lattice_check
 
@@ -268,30 +270,41 @@ def render_number(value):
     return f"{float(value):.12g}"
 
 
-def json_ready(obj):
-    """Recursively make a report JSON-serialisable: Fractions become p/q
-    strings, floats are rounded to 12 significant digits."""
-    if obj is None or type(obj) in (str, int, bool):
-        return obj
-    if isinstance(obj, Fraction):
-        return render_number(obj)
+def _text(obj, indent: str) -> str:
+    """obj's JSON text as json.dumps(indent=2, allow_nan=False) writes it, with
+    Fractions as p/q strings and floats to 12 significant digits; indent is
+    the newline and indentation of obj's own line."""
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
-        return int(obj)
-    return obj
+        value = float(f"{obj:.12g}")
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (dict, list, tuple)):
+        keyed, inner = isinstance(obj, dict), indent + "  "
+        if not obj:
+            return "{}" if keyed else "[]"
+        sep = "," + inner  # one join copies each child's text once; json.dumps writes a non-string key
+        parts = [part for k, v in obj.items() for part in (sep, _quote(k) if isinstance(k, str) else json.dumps(
+            {k: 0}, allow_nan=False)[1:-4], ": ", _text(v, inner))] if keyed else [
+            part for v in obj for part in (sep, _text(v, inner))]
+        parts[0] = ("{" if keyed else "[") + inner
+        parts.append(indent + ("}" if keyed else "]"))
+        return "".join(parts)
+    if isinstance(obj, numbers.Integral):
+        return int.__repr__(int(obj))
+    if isinstance(obj, Fraction):
+        return f'"{render_number(obj)}"'
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(payload: dict) -> str:
     """Serialise a report dict with the schema marker first and stable
-    key order (insertion order is preserved)."""
-    body = {"schema": 1}
-    body.update(json_ready(payload))
-    return json.dumps(body, indent=2, allow_nan=False)
+    key order (insertion order is preserved), in one walk."""
+    return _text({"schema": 1, **payload}, "\n")
 
 
 def to_dot(lattice: Lattice, name: str = "lattice") -> str:

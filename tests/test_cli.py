@@ -290,6 +290,21 @@ def test_cox_involution(capsys):
     assert code == 1 and doc["passed"] is False
 
 
+def test_a_nan_in_the_report_prints_only_the_error_document(capsys, monkeypatch):
+    """A report carrying NaN is refused before any of it is printed: exit 2,
+    and stdout holds the error document alone."""
+    from types import SimpleNamespace
+
+    from qlprob import funceq
+
+    report = SimpleNamespace(passed=True, max_residual=math.nan, worst_x=0.5, identity=False)
+    monkeypatch.setattr(funceq, "check_involution", lambda rule, tolerance: report)
+    assert main(["cox", "one-minus", "involution"]) == 2
+    assert capsys.readouterr().out == (
+        '{\n  "schema": 1,\n  "error": "Out of range float values are not JSON compliant: nan",\n'
+        '  "kind": "ValueError"\n}\n')
+
+
 def test_cox_assoc(capsys):
     code, doc = run(capsys, "cox", "sumprod", "assoc")
     assert code == 0

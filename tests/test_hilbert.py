@@ -199,11 +199,49 @@ def _reference_key(s):
     return (s.dim, tuple(rounded.real.ravel()), tuple(rounded.imag.ravel()))
 
 
+def _ordered(elements):
+    """The embedding in canonical order, its inclusion matrix and the
+    complement of each element by index."""
+    ordered = sorted(elements, key=_reference_key)
+    leq = np.array([[b.contains(a) for b in ordered] for a in ordered])
+    neg = tuple(next(k for k, t in enumerate(ordered) if t.same(ortho_s(s))) for s in ordered)
+    return ordered, leq, neg
+
+
 def reference_closure(seeds):
     """The closure as a plain pairwise loop: each candidate against every
-    kept element through Subspace.same, meets through meet_s, inclusion
-    through Subspace.contains.  Returns the ordered embedding, the
-    inclusion matrix and the complement of each element by index."""
+    kept element through Subspace.same, joins through join_s, complements
+    through ortho_s, inclusion through Subspace.contains.  A round adds the
+    complements of its frontier, then joins each pair of the elements held
+    before them in which one lies in the frontier, so every pair is joined
+    once."""
+    d = seeds[0].d
+    elements = [null_subspace(d), full_subspace(d)]
+
+    def add(s):
+        if not any(t.same(s) for t in elements):
+            elements.append(s)
+
+    for s in seeds:
+        add(s)
+    frontier = range(len(elements))
+    while frontier:
+        start = len(elements)
+        for i in frontier:
+            add(ortho_s(elements[i]))
+        for i in range(start):
+            for j in range(i + 1, start):
+                if i in frontier or j in frontier:
+                    add(join_s(elements[i], elements[j]))
+        frontier = range(start, len(elements))
+    return _ordered(elements)
+
+
+def meet_join_closure(seeds):
+    """The closure under meet, join and complement as a plain loop: a round
+    adds the complements of its frontier, then the meet and the join of
+    every pair of elements, those complements included, with one in the
+    frontier."""
     d = seeds[0].d
     elements = [null_subspace(d), full_subspace(d)]
 
@@ -225,22 +263,46 @@ def reference_closure(seeds):
                     add(meet_s(elements[i], elements[j]))
                     add(join_s(elements[i], elements[j]))
         frontier = set(range(start, len(elements)))
-    ordered = sorted(elements, key=_reference_key)
-    leq = np.array([[b.contains(a) for b in ordered] for a in ordered])
-    neg = tuple(next(k for k, t in enumerate(ordered) if t.same(ortho_s(s))) for s in ordered)
-    return ordered, leq, neg
+    return _ordered(elements)
+
+
+def assert_closure_matches(seeds):
+    """generate_sublattice gives reference_closure's bases bit for bit, and
+    the subspaces, order and complements of the meet and join closure."""
+    ortho, embedding = generate_sublattice(seeds)
+    ordered, leq, neg = reference_closure(seeds)
+    assert len(embedding) == len(ordered)
+    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
+    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert ortho.neg == neg
+    ordered, leq, neg = meet_join_closure(seeds)
+    assert len(embedding) == len(ordered) and all(s.same(t) for s, t in zip(embedding, ordered))
+    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert ortho.neg == neg
 
 
 @pytest.mark.parametrize("seeds", [d2_seed_subspaces, d3_seed_subspaces,
                                    lambda: two_plane_seeds(3, RNG(64))],
                          ids=["d2", "d3", "c4-3+3"])
 def test_closure_matches_the_pairwise_loop(seeds):
-    ortho, embedding = generate_sublattice(seeds())
-    ordered, leq, neg = reference_closure(seeds())
-    assert len(embedding) == len(ordered)
-    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
-    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
-    assert ortho.neg == neg
+    assert_closure_matches(seeds())
+
+
+def test_closure_joins_each_pair_once(monkeypatch):
+    """The closure hands np.linalg.svd one matrix per element for its
+    complement and one per pair of elements for their join, and none for
+    meets: n(n − 1)/2 + n in all."""
+    seeds = two_plane_seeds(3, RNG(64))
+    svd, matrices = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(a.shape[0] if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, embedding = generate_sublattice(seeds)
+    n = len(embedding)
+    assert n == 64 and sum(matrices) == n * (n - 1) // 2 + n
 
 
 def test_born_valuation_is_a_state_maxmixed(d2_lattice, d3_lattice):
@@ -328,22 +390,19 @@ def test_batched_closure_matches_the_pairwise_loop(d, k, seed):
     blocks = [list(range(b, min(b + 2, d))) for b in range(0, d, 2)]
     seeds = [_line(d, rng, block) for block in blocks for _ in range(k if len(block) == 2 else 1)]
     seeds += [seeds[0], ortho_s(seeds[-1])]
-    ortho, embedding = generate_sublattice(seeds)
-    ordered, leq, neg = reference_closure(seeds)
-    assert len(embedding) == len(ordered)
-    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
-    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
-    assert ortho.neg == neg
+    assert_closure_matches(seeds)
 
 
 def test_closure_cap_inside_a_round_of_pairs():
-    """Round 2 of the MO(3) x MO(3) closure passes 40 elements among its
-    meets and joins; the cap stops it at the 41st, as the pairwise loop
-    would."""
+    """Rounds 1 and 2 of the MO(3) x MO(3) closure keep 40 elements.  Cap 35
+    stops round 2 among its joins, and cap 40 stops round 3 at the first
+    complement it keeps, each at the element past the cap, as the pairwise
+    loop would."""
     from qlprob.core import CapExceeded
 
-    with pytest.raises(CapExceeded, match=r"^hilbert closure reached 41 subspaces, cap 40$"):
-        generate_sublattice(two_plane_seeds(3, RNG(64)), cap=40)
+    for cap in (35, 40):
+        with pytest.raises(CapExceeded, match=rf"^hilbert closure reached {cap + 1} subspaces, cap {cap}$"):
+            generate_sublattice(two_plane_seeds(3, RNG(64)), cap=cap)
 
 
 def test_closure_rejects_a_non_orthonormal_candidate(monkeypatch):
@@ -363,26 +422,27 @@ def test_closure_rejects_a_non_orthonormal_candidate(monkeypatch):
 
 
 def test_closure_survivors_meet_the_elements_kept_in_their_batch(monkeypatch):
-    """Lines e1, e2 and (e1 + e2)/√2 in C^4: the first round holds 8
-    elements, and the 25 pairs that take one of the first 5 make one batch.
-    Three of them join to the e1e2 plane, which no element held before the
-    batch, so the later two pass the batch test and meet it among the
-    survivors; and the batch holds candidates of rank 1 (e1 ∧ e2⊥),
-    2 (e1 ∨ e2) and 3 (e1 ∨ e2⊥)."""
+    """Lines e1, e2, (e1 + e2)/√2 and the plane e1e3 in C^4: the first round
+    joins the 15 pairs of its 6 elements in one batch, which holds
+    candidates of rank 1 (0 ∨ e1), 2 (e1 ∨ e2) and 3 (e2 ∨ e1e3).  No element
+    kept before the batch is the e1e2 plane or e4⊥, so the three joins to
+    the plane and the two to e4⊥ all pass the batch test, and the later
+    ones meet the first among the survivors, one search across both ranks."""
     seeds = [subspace_from_vectors(4, [v]) for v in ([1, 0, 0, 0], [0, 1, 0, 0], [R, R, 0, 0])]
+    seeds.append(subspace_from_vectors(4, [[1, 0, 0, 0], [0, 0, 1, 0]]))
     pair_candidates, first_within = hilbert._pair_candidates, hilbert._first_within
     batches, lookups = [], []
-    monkeypatch.setattr(hilbert, "_pair_candidates",
-                        lambda *args: batches.append(pair_candidates(*args)) or batches[-1])
+
+    def candidates(*args):
+        batches.append((len(lookups), pair_candidates(*args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(hilbert, "_pair_candidates", candidates)
     monkeypatch.setattr(hilbert, "_first_within",
                         lambda stack, p: lookups.append((len(stack), first_within(stack, p))) or lookups[-1][1])
-    ortho, embedding = generate_sublattice(seeds)
-    ordered, leq, neg = reference_closure(seeds)
-    assert len(embedding) == len(ordered)
-    assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
-    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
-    assert ortho.neg == neg
-    assert len(batches[0][1]) == 50 and {1, 2, 3} <= set(batches[0][1])
-    # survivor lookups search only the elements kept in their batch; the complement
-    # lookups at the end search all of them
-    assert any(hit is not None for size, hit in lookups if size < len(embedding))
+    assert_closure_matches(seeds)
+    first, (_, ranks) = batches[0]
+    assert len(ranks) == 15 and {1, 2, 3} <= set(ranks)
+    # the batch's five survivor lookups search only the elements kept in the batch:
+    # the plane is kept, two joins find it, e4⊥ is kept, and one join finds it
+    assert lookups[first:first + 5] == [(0, None), (1, 0), (1, 0), (1, None), (2, 1)]

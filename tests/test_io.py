@@ -1,9 +1,11 @@
 import json
+import numbers
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlprob import builders
 from qlprob.io import (
@@ -13,7 +15,6 @@ from qlprob.io import (
     ValueOutOfRange,
     document_from_lattice,
     emit_report,
-    json_ready,
     lattice_from_document,
     parse_lattice,
     parse_valuation,
@@ -23,6 +24,31 @@ from qlprob.io import (
     to_dot,
 )
 from tests.conftest import DATA
+
+
+def json_ready(obj):
+    """The reference emit's first walk: a copy of the report with Fractions as
+    p/q strings and floats rounded to 12 significant digits."""
+    if obj is None or type(obj) in (str, int, bool):
+        return obj
+    if isinstance(obj, Fraction):
+        return render_number(obj)
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
+        return int(obj)
+    return obj
+
+
+def reference_emit(payload: dict) -> str:
+    """emit_report as two walks: json_ready, then json.dumps(indent=2)."""
+    body = {"schema": 1}
+    body.update(json_ready(payload))
+    return json.dumps(body, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize("name", ["l12", "mo2", "n5", "o6"])
@@ -132,8 +158,6 @@ def test_emit_mixed_payload_bytes():
     """Every leaf type a report carries, through the one emitter: bools stay
     true and false, numpy integers and floats become plain numbers, Fractions
     p/q strings, tuples arrays.  The bytes are pinned."""
-    import numpy as np
-
     payload = {"flag": True, "off": False, "n": 3, "big": np.int64(7), "x": np.float64(1 / 3),
                "q": Fraction(2, 6), "none": None, "pair": (1, 0.1 + 0.2, Fraction(4, 2)),
                "nested": {"ok": True, "k": [np.int64(-1), "s"]}}
@@ -150,6 +174,44 @@ def test_emit_mixed_payload_bytes():
 def test_emit_rejects_nan():
     with pytest.raises(ValueError):
         emit_report({"x": float("nan")})
+
+
+class Tag(str):
+    pass
+
+
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.floats(allow_nan=False).map(np.float64), st.fractions(),
+    st.text(), st.sampled_from(["é", "\u2028", '"\\\n\t', "\x00", "😀"]), st.text().map(Tag),
+    st.sampled_from([[], (), {}]),
+)
+keys = st.one_of(st.text(), st.text().map(Tag), st.integers(), st.floats(), st.booleans(), st.none())
+reports = st.dictionaries(st.text(), st.recursive(
+    leaves, lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                                    st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=20), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+@example({"k": {1.5: 0, 2: 1, True: 2, None: 3, np.float64(0.1 + 0.2): 4}})
+@example({"k": [np.float32(1)]})
+@example({"k": {np.int64(1): 0}})
+@example({"k": {Fraction(1, 2): 0}})
+@example({"k": {float("inf"): 0}})
+@example({"k": [np.bool_(True)]})
+def test_emit_writes_the_reference_text(payload):
+    """The one-walk writer gives json_ready + json.dumps(indent=2)'s text, or
+    raises the same exception type (ValueError for a NaN or an infinity,
+    TypeError for a value or key json cannot write)."""
+    try:
+        expected = reference_emit(payload)
+    except (ValueError, TypeError) as err:
+        with pytest.raises(type(err)):
+            emit_report(payload)
+    else:
+        assert emit_report(payload) == expected
 
 
 def test_dot_output(p3):
