@@ -33,6 +33,12 @@ class SourceError(Exception):
     pass
 
 
+# builder spec name: (function in qlprob.builders, default argument or None
+# for a builder that takes none), looked up by name when a source is built
+_BUILDERS = {"powerset": ("powerset", 3), "mo": ("mo", 2), "l12": ("firefly_l12", None),
+             "n5": ("n5", None), "o6": ("o6", None)}
+
+
 def load_source(spec: str):
     """Resolve `powerset:3`-style builder specs or `.lat` paths to a
     built structure.  Returns (canonical name, lattice)."""
@@ -45,23 +51,24 @@ def load_source(spec: str):
         return doc.name, lattice_from_document(doc)
     from . import builders
     name, _, arg = spec.partition(":")
+    builder, default = _BUILDERS.get(name, (None, None))
+    if builder is None or (arg and default is None):
+        expected = ", ".join(k + (":<n>" if d is not None else "") for k, (_, d) in _BUILDERS.items())
+        raise SourceError(f"unknown lattice source {spec!r}; expected {expected}, or a .lat file")
+    build = getattr(builders, builder)
     try:
-        if name == "powerset":
-            return spec, builders.powerset(int(arg or 3))
-        if name == "mo":
-            return spec, builders.mo(int(arg or 2))
-        if name == "l12" and not arg:
-            return spec, builders.firefly_l12()
-        if name == "n5" and not arg:
-            return spec, builders.n5()
-        if name == "o6" and not arg:
-            return spec, builders.o6()
+        return spec, build() if default is None else build(int(arg or default))
     except ValueError as err:
         raise SourceError(f"bad builder argument in {spec!r}: {err}")
-    raise SourceError(
-        f"unknown lattice source {spec!r}; expected powerset:<n>, mo:<n>, "
-        "l12, n5, o6, or a .lat file"
-    )
+
+
+def _ortho_source(spec: str):
+    """load_source for a command that needs a negation: (name, lattice), or
+    None after printing the error document when the source has none."""
+    name, obj = load_source(spec)
+    if isinstance(obj, OrthoLattice):
+        return name, obj
+    _emit({"source": name, "error": "source has no orthocomplement"})
 
 
 def _classification_payload(name: str, report: ClassificationReport) -> dict:
@@ -99,10 +106,9 @@ def cmd_classify(args) -> int:
 
 def cmd_states(args) -> int:
     from . import states
-    name, obj = load_source(args.source)
-    if not isinstance(obj, OrthoLattice):
-        _emit({"source": name, "error": "source has no orthocomplement"})
+    if not (source := _ortho_source(args.source)):
         return 2
+    name, obj = source
     payload = {"source": name, "mode": args.mode}
     try:
         if args.mode == "relations":
@@ -132,10 +138,9 @@ def cmd_states(args) -> int:
 
 def cmd_check(args) -> int:
     from . import states
-    name, obj = load_source(args.source)
-    if not isinstance(obj, OrthoLattice):
-        _emit({"source": name, "error": "source has no orthocomplement"})
+    if not (source := _ortho_source(args.source)):
         return 2
+    name, obj = source
     vdoc = parse_valuation(Path(args.valuation).read_text(), exact=args.exact)
     if vdoc.lattice_name != name:
         _emit({
@@ -297,55 +302,30 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 
 def cmd_cox(args) -> int:
     from . import funceq
+    tolerance = args.tolerance if args.tolerance is not None else funceq.CHECK_TOLERANCE
     try:
-        tolerance = args.tolerance if args.tolerance is not None else funceq.CHECK_TOLERANCE
+        rule = _load_rule(args.rule, 1 if args.check == "involution" else 2)
         if args.check == "involution":
-            rule = _load_rule(args.rule, 1)
-            report = funceq.check_involution(rule, tolerance=tolerance)
-            _emit({
-                "rule": args.rule,
-                "check": "involution",
-                "passed": report.passed,
-                "max_residual": report.max_residual,
-                "worst_x": report.worst_x,
-                "identity": report.identity,
-            })
-            return 0 if report.passed else 1
-        if args.check == "assoc":
-            rule = _load_rule(args.rule, 2)
-            report = funceq.check_associativity(rule, tolerance=tolerance)
-            _emit({
-                "rule": args.rule,
-                "check": "assoc",
-                "passed": report.passed,
-                "max_residual": report.max_residual,
-                "worst_triple": list(report.worst_triple) if report.worst_triple else None,
-                "evaluated": report.evaluated,
-                "skipped": report.skipped,
-            })
-            return 0 if report.passed else 1
-        rule = _load_rule(args.rule, 2)
-        try:
-            result = funceq.regraduate(rule)
-        except funceq.NotRegraduable as err:
-            _emit({
-                "rule": args.rule,
-                "check": "regraduate",
-                "passed": False,
-                "reason": err.reason,
-            })
-            return 1
-        _emit({
-            "rule": args.rule,
-            "check": "regraduate",
-            "passed": True,
-            "max_residual": result.max_residual,
-            "anchor": result.anchor,
-            "table": [{"x": x, "w": w} for x, w in zip(result.grid, result.values)],
-        })
-        return 0
+            found = funceq.check_involution(rule, tolerance=tolerance)
+            report = {"passed": found.passed, "max_residual": found.max_residual,
+                      "worst_x": found.worst_x, "identity": found.identity}
+        elif args.check == "assoc":
+            found = funceq.check_associativity(rule, tolerance=tolerance)
+            report = {"passed": found.passed, "max_residual": found.max_residual,
+                      "worst_triple": list(found.worst_triple) if found.worst_triple else None,
+                      "evaluated": found.evaluated, "skipped": found.skipped}
+        else:
+            try:
+                found = funceq.regraduate(rule)
+            except funceq.NotRegraduable as err:
+                report = {"passed": False, "reason": err.reason}
+            else:
+                report = {"passed": True, "max_residual": found.max_residual, "anchor": found.anchor,
+                          "table": [{"x": x, "w": w} for x, w in zip(found.grid, found.values)]}
     except (funceq.TooManySkips, funceq.DomainEscape) as err:
         return _failure(err, 1)
+    _emit({"rule": args.rule, "check": args.check, **report})
+    return 0 if report["passed"] else 1
 
 
 def _emit(payload: dict):
@@ -365,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=None)
@@ -373,37 +353,33 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--exact", action="store_true")
         group.add_argument("--float", action="store_true")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("classify", help="order and law analysis of a lattice")
     p.add_argument("source")
-    common(p)
-    p.set_defaults(run=cmd_classify)
+    common(p, cmd_classify)
 
     p = sub.add_parser("states", help="state polytope artifacts")
     p.add_argument("source")
     p.add_argument("mode", choices=["find", "extremes", "relations"])
-    common(p)
-    p.set_defaults(run=cmd_states)
+    common(p, cmd_states)
 
     p = sub.add_parser("check", help="verify a valuation file against a lattice")
     p.add_argument("source")
     p.add_argument("valuation")
-    common(p)
-    p.set_defaults(run=cmd_check)
+    common(p, cmd_check)
 
     p = sub.add_parser("hilbert", help="generate a projector lattice and its Born valuation")
     p.add_argument("seeds", help="JSON file of seed subspaces")
     p.add_argument("--rho", default="maxmixed",
                    help="maxmixed | random | pure:<vector> | matrix JSON path")
     p.add_argument("--scan", choices=["ie", "subadd"], default=None)
-    common(p)
-    p.set_defaults(run=cmd_hilbert)
+    common(p, cmd_hilbert)
 
     p = sub.add_parser("cox", help="combination-rule checks and regraduation")
     p.add_argument("rule", help="builtin name or samples CSV")
     p.add_argument("check", choices=["involution", "assoc", "regraduate"])
-    common(p)
-    p.set_defaults(run=cmd_cox)
+    common(p, cmd_cox)
     return parser
 
 

@@ -63,26 +63,24 @@ class NotALattice(LatticeError):
         )
 
 
-class NotInvolutive(LatticeError):
+class _NegationError(LatticeError):
+    """An orthocomplement axiom fails; carries every violating instance."""
+
     def __init__(self, witnesses):
         self.witnesses = tuple(witnesses)
-        super().__init__(f"negation is not an involution; witnesses {list(self.witnesses)}")
+        super().__init__(self.template.format(list(self.witnesses)))
 
 
-class NotOrderReversing(LatticeError):
-    def __init__(self, witnesses):
-        self.witnesses = tuple(witnesses)
-        super().__init__(
-            f"negation does not reverse the order; violating pairs {list(self.witnesses)}"
-        )
+class NotInvolutive(_NegationError):
+    template = "negation is not an involution; witnesses {}"
 
 
-class ComplementLawFails(LatticeError):
-    def __init__(self, witnesses):
-        self.witnesses = tuple(witnesses)
-        super().__init__(
-            f"complement laws fail; violating instances {list(self.witnesses)}"
-        )
+class NotOrderReversing(_NegationError):
+    template = "negation does not reverse the order; violating pairs {}"
+
+
+class ComplementLawFails(_NegationError):
+    template = "complement laws fail; violating instances {}"
 
 
 class NotOrthomodular(LatticeError):
@@ -212,12 +210,10 @@ def build_poset(
         raise NotBounded("empty element list")
     if len(names) > MAX_ELEMENTS:
         raise CapExceeded(f"{len(names)} elements exceeds the cap of {MAX_ELEMENTS}")
-    seen = set()
-    for name in names:
-        if name in seen:
+    index = {}
+    for i, name in enumerate(names):
+        if index.setdefault(name, i) != i:
             raise DuplicateElement(f"element {name!r} declared twice")
-        seen.add(name)
-    index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
     above, below = [[] for _ in range(n)], [[] for _ in range(n)]  # covers of each
@@ -249,32 +245,27 @@ def build_poset(
         for c in below[a]:
             down[a] |= down[c]
 
-    everything = (1 << n) - 1
-    bottom_candidates = [a for a in range(n) if up[a] == everything]
-    top_candidates = [a for a in range(n) if down[a] == everything]
-    if bottom is not None:
-        if bottom not in index:
-            raise ValueError(f"declared bottom {bottom!r} is not an element")
-        bot = index[bottom]
-        if bot not in bottom_candidates:
-            raise NotBounded(f"declared bottom {bottom!r} is not below every element")
-    elif len(bottom_candidates) == 1:
-        bot = bottom_candidates[0]
-    else:
-        raise NotBounded("poset has no global lower bound")
-    if top is not None:
-        if top not in index:
-            raise ValueError(f"declared top {top!r} is not an element")
-        tp = index[top]
-        if tp not in top_candidates:
-            raise NotBounded(f"declared top {top!r} is not above every element")
-    elif len(top_candidates) == 1:
-        tp = top_candidates[0]
-    else:
-        raise NotBounded("poset has no global upper bound")
+    bot = _bound(bottom, up, index, "bottom", "below", "lower")
+    tp = _bound(top, down, index, "top", "above", "upper")
     if bot == tp:
         raise NotBounded("top and bottom coincide; the one-element theory is rejected")
     return Poset(names=names, up=tuple(up), down=tuple(down), bottom=bot, top=tp)
+
+
+def _bound(declared, cones, index, word, side, extent) -> int:
+    """The element whose cone (its up-set for the bottom, its down-set for
+    the top) is every element: the declared one, verified, or the only one."""
+    everything = (1 << len(cones)) - 1
+    if declared is None:
+        candidates = [a for a, cone in enumerate(cones) if cone == everything]
+        if len(candidates) != 1:
+            raise NotBounded(f"poset has no global {extent} bound")
+        return candidates[0]
+    if declared not in index:
+        raise ValueError(f"declared {word} {declared!r} is not an element")
+    if cones[index[declared]] != everything:
+        raise NotBounded(f"declared {word} {declared!r} is not {side} every element")
+    return index[declared]
 
 
 def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:

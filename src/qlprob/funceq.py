@@ -20,6 +20,7 @@ skipped and counted instead.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Callable
@@ -120,9 +121,17 @@ def _interp(x: float, xs: list[float], ys: list[float]) -> float:
     return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
+def _finite(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """The samples, unless one holds a NaN or an infinity (a ValueError)."""
+    for point in points:
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"sample {point} is not finite")
+    return points
+
+
 def from_samples_unary(points, lo=None, hi=None) -> CoxFunction:
-    """Piecewise-linear rule through (x, g(x)) samples."""
-    pts = sorted((float(x), float(y)) for x, y in points)
+    """Piecewise-linear rule through finite (x, g(x)) samples."""
+    pts = sorted(_finite([(float(x), float(y)) for x, y in points]))
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("need at least two samples with distinct increasing x")
@@ -136,10 +145,11 @@ def from_samples_unary(points, lo=None, hi=None) -> CoxFunction:
 
 
 def from_samples_binary(points, lo=None, hi=None) -> CoxFunction:
-    """Bilinear rule through (x, y, f(x,y)) samples on a full grid."""
-    xs = sorted({float(x) for x, _, _ in points})
-    ys = sorted({float(y) for _, y, _ in points})
-    table = {(float(x), float(y)): float(v) for x, y, v in points}
+    """Bilinear rule through finite (x, y, f(x,y)) samples on a full grid."""
+    points = _finite([(float(x), float(y), float(v)) for x, y, v in points])
+    xs = sorted({x for x, _, _ in points})
+    ys = sorted({y for _, y, _ in points})
+    table = {(x, y): v for x, y, v in points}
     if len(table) != len(xs) * len(ys):
         raise ValueError("samples must cover a full rectangular grid")
     grid = [[table[(x, y)] for y in ys] for x in xs]

@@ -11,7 +11,11 @@ The lattice format is one directive per line:
 
 ``#`` starts a comment; blank lines are ignored; names are arbitrary
 whitespace-free tokens and must be declared before use.  Declaration
-order fixes element indices.  Valuation documents carry a
+order fixes element indices.  Each line after the header is checked in
+one order, the first failure raising: the directive is known; its
+arity, from one table, holds; an element is new; any other directive
+names declared elements; and a cover, an ortho pair and its partners,
+a bottom or a top is new.  Valuation documents carry a
 ``valuation for <lattice>`` header and ``<element> = <number>`` lines,
 where a number is ``p/q`` (kept exact) or a decimal (parsed to float).
 """
@@ -43,8 +47,7 @@ class UnknownElement(ParseError):
 
 
 class DuplicateDeclaration(ParseError):
-    def __init__(self, line: int, message: str):
-        super().__init__(line, message)
+    pass
 
 
 class ValueOutOfRange(ParseError):
@@ -78,17 +81,19 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
+# the arity of each directive after the header, which has its own messages
+_ARITY = {"element": 1, "cover": 2, "ortho": 2, "bottom": 1, "top": 1}
+
+
 def parse_lattice(text: str) -> LatticeDocument:
     """Parse a lattice document.  Total: returns a document or raises a
     positioned ParseError; never anything else."""
     name = None
-    elements: list[str] = []
-    known: set[str] = set()
-    covers: list[tuple[str, str]] = []
-    cover_set: set[tuple[str, str]] = set()
+    elements: dict[str, None] = {}  # insertion-ordered sets
+    covers: dict[tuple[str, str], None] = {}
     ortho: list[tuple[str, str]] = []
     partner: dict[str, str] = {}
-    bottom = top = None
+    bounds = {"bottom": None, "top": None}
     for lineno, tokens in _lines(text):
         directive, args = tokens[0], tokens[1:]
         if directive == "lattice":
@@ -100,30 +105,25 @@ def parse_lattice(text: str) -> LatticeDocument:
             continue
         if name is None:
             raise ParseError(lineno, "first directive must be the lattice header")
+        arity = _ARITY.get(directive)
+        if arity is None:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
+        if len(args) != arity:
+            raise ParseError(lineno, f"{directive} takes {'one name' if arity == 1 else 'two names'}")
         if directive == "element":
-            if len(args) != 1:
-                raise ParseError(lineno, "element takes one name")
-            if args[0] in known:
+            if args[0] in elements:
                 raise DuplicateDeclaration(lineno, f"element {args[0]!r} declared twice")
-            known.add(args[0])
-            elements.append(args[0])
-        elif directive == "cover":
-            if len(args) != 2:
-                raise ParseError(lineno, "cover takes two names")
-            for arg in args:
-                if arg not in known:
-                    raise UnknownElement(lineno, arg)
+            elements[args[0]] = None
+            continue
+        for arg in args:
+            if arg not in elements:
+                raise UnknownElement(lineno, arg)
+        if directive == "cover":
             pair = (args[0], args[1])
-            if pair in cover_set:
+            if pair in covers:
                 raise DuplicateDeclaration(lineno, f"cover {pair} declared twice")
-            cover_set.add(pair)
-            covers.append(pair)
+            covers[pair] = None
         elif directive == "ortho":
-            if len(args) != 2:
-                raise ParseError(lineno, "ortho takes two names")
-            for arg in args:
-                if arg not in known:
-                    raise UnknownElement(lineno, arg)
             a, b = args
             for p, q in ((a, b), (b, a)):
                 if p in partner and partner[p] != q:
@@ -132,24 +132,10 @@ def parse_lattice(text: str) -> LatticeDocument:
                 raise DuplicateDeclaration(lineno, f"ortho pair {a!r} {b!r} declared twice")
             partner[a], partner[b] = b, a
             ortho.append((a, b))
-        elif directive == "bottom":
-            if len(args) != 1:
-                raise ParseError(lineno, "bottom takes one name")
-            if args[0] not in known:
-                raise UnknownElement(lineno, args[0])
-            if bottom is not None:
-                raise DuplicateDeclaration(lineno, "bottom declared twice")
-            bottom = args[0]
-        elif directive == "top":
-            if len(args) != 1:
-                raise ParseError(lineno, "top takes one name")
-            if args[0] not in known:
-                raise UnknownElement(lineno, args[0])
-            if top is not None:
-                raise DuplicateDeclaration(lineno, "top declared twice")
-            top = args[0]
         else:
-            raise ParseError(lineno, f"unknown directive {directive!r}")
+            if bounds[directive] is not None:
+                raise DuplicateDeclaration(lineno, f"{directive} declared twice")
+            bounds[directive] = args[0]
     if name is None:
         raise ParseError(1, "missing lattice header")
     return LatticeDocument(
@@ -157,8 +143,7 @@ def parse_lattice(text: str) -> LatticeDocument:
         elements=tuple(elements),
         covers=tuple(covers),
         ortho_pairs=tuple(ortho),
-        bottom=bottom,
-        top=top,
+        **bounds,
     )
 
 
@@ -216,14 +201,8 @@ def _parse_number(lineno: int, token: str, exact: bool = False):
         return Fraction(int(token))
     except ValueError:
         pass
-    if exact:
-        # read the decimal literal as the rational it denotes
-        try:
-            return Fraction(token)
-        except ValueError:
-            raise ParseError(lineno, f"bad number {token!r}")
-    try:
-        return float(token)
+    try:  # exact reads the decimal literal as the rational it denotes
+        return Fraction(token) if exact else float(token)
     except ValueError:
         raise ParseError(lineno, f"bad number {token!r}")
 
@@ -232,8 +211,7 @@ def parse_valuation(text: str, exact: bool = False) -> ValuationDocument:
     """Parse a valuation document; p/q values stay exact Fractions.
     With exact=True decimal literals become Fractions too."""
     lattice_name = None
-    entries: list[tuple[str, Fraction | float]] = []
-    seen: set[str] = set()
+    entries: dict[str, Fraction | float] = {}
     for lineno, tokens in _lines(text):
         if lattice_name is None:
             if len(tokens) != 3 or tokens[0] != "valuation" or tokens[1] != "for":
@@ -243,15 +221,14 @@ def parse_valuation(text: str, exact: bool = False) -> ValuationDocument:
         if len(tokens) != 3 or tokens[1] != "=":
             raise ParseError(lineno, "expected: <element> = <number>")
         name, value = tokens[0], _parse_number(lineno, tokens[2], exact)
-        if name in seen:
+        if name in entries:
             raise DuplicateDeclaration(lineno, f"value for {name!r} declared twice")
-        seen.add(name)
         if not 0 <= value <= 1:
             raise ValueOutOfRange(lineno, name, value)
-        entries.append((name, value))
+        entries[name] = value
     if lattice_name is None:
         raise ParseError(1, "missing valuation header")
-    return ValuationDocument(lattice_name=lattice_name, entries=tuple(entries))
+    return ValuationDocument(lattice_name=lattice_name, entries=tuple(entries.items()))
 
 
 def serialize_valuation(doc: ValuationDocument) -> str:

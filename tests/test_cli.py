@@ -3,6 +3,7 @@ exit codes and the JSON envelope are part of the public contract."""
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,47 @@ def test_classify_unknown_source(capsys):
     code, doc = run(capsys, "classify", "mystery")
     assert code == 2
     assert "error" in doc
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("powerset:x", "bad builder argument in 'powerset:x': invalid literal for int() with base 10: 'x'"),
+    ("mo:2.5", "bad builder argument in 'mo:2.5': invalid literal for int() with base 10: '2.5'"),
+    ("l12:3", "unknown lattice source 'l12:3'; expected powerset:<n>, mo:<n>, l12, n5, o6, "
+     "or a .lat file"),
+])
+def test_classify_refuses_a_bad_builder_spec(capsys, spec, error):
+    code, doc = run(capsys, "classify", spec)
+    assert code == 2
+    assert doc == {"schema": 1, "error": error, "kind": "SourceError"}
+
+
+@pytest.mark.parametrize("spec, same_as", [("powerset:", "powerset:3"), ("mo:", "mo:2"),
+                                           ("l12:", "l12")])
+def test_builder_spec_without_an_argument_takes_the_default(capsys, spec, same_as):
+    code, doc = run(capsys, "classify", spec)
+    assert code == 0 and doc["source"] == spec
+    assert run(capsys, "classify", same_as)[1] == {**doc, "source": same_as}
+
+
+def test_classify_reports_an_unreadable_lattice_file(capsys, tmp_path):
+    path = tmp_path / "folder.lat"
+    path.mkdir()
+    code, doc = run(capsys, "classify", str(path))
+    assert code == 2 and doc["kind"] == "SourceError"
+    assert doc["error"].startswith(f"cannot read {path}: ")
+
+
+def test_every_job_fixture_exists():
+    """Each path a job of scripts/cli_jobs.txt names, apart from the
+    generated inputs-7/, is in the repository: a missing fixture prints
+    the same "cannot read" document under every tree and would hide."""
+    root = SCRIPTS.parent
+    jobs = [line for line in (SCRIPTS / "cli_jobs.txt").read_text().splitlines()
+            if line.strip() and not line.startswith("#")]
+    paths = [token for job in jobs for token in shlex.split(job)
+             if "/" in token and not token.startswith("inputs-7/")]
+    assert len(paths) > 30
+    assert [path for path in paths if not (root / path).exists()] == []
 
 
 def test_classify_reports_a_poset_without_a_join(capsys):
@@ -147,6 +189,14 @@ def test_states_on_non_orthomodular_source(capsys):
     assert doc["kind"] == "NotOrthomodular"
     assert "'a'" in doc["error"] and "'b'" in doc["error"]
     assert "Witness(" not in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [("states", "n5", "find"),
+                                  ("check", "n5", str(DATA / "l12_quarter.val"))])
+def test_state_commands_need_an_orthocomplement(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 2
+    assert doc == {"schema": 1, "source": "n5", "error": "source has no orthocomplement"}
 
 
 def test_states_find_falls_back_to_simplex(capsys):
@@ -274,6 +324,16 @@ def test_hilbert_malformed_seeds(capsys, tmp_path):
     path.write_text("[[1, 2,")
     code, doc = run(capsys, "hilbert", str(path))
     assert code == 2
+
+
+def test_hilbert_rho_from_a_matrix_file(capsys, d2_seeds, tmp_path):
+    """A density matrix read from JSON, entries as numbers or [re, im]
+    pairs, gives the report --rho maxmixed gives, apart from its name."""
+    path = tmp_path / "rho.json"
+    path.write_text("[[0.5, [0, 0]], [0, 0.5]]")
+    code, doc = run(capsys, "hilbert", d2_seeds, "--rho", str(path))
+    assert code == 0 and doc["rho"] == str(path)
+    assert run(capsys, "hilbert", d2_seeds, "--rho", "maxmixed")[1] == {**doc, "rho": "maxmixed"}
 
 
 def test_hilbert_random_rho_deterministic(capsys, d2_seeds):

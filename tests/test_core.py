@@ -79,6 +79,28 @@ def test_declared_bounds_verified():
         build_poset(("0", "m", "1"), CHAIN3, bottom="m")
 
 
+@pytest.mark.parametrize("names, covers, bounds, kind, message", [
+    ((), (), {}, NotBounded, "empty element list"),
+    (("0", "m", "1"), CHAIN3 + (("m", "m"),), {}, ValueError, "self-cover on element 'm'"),
+    (("0", "m", "1"), CHAIN3, {"bottom": "z"}, ValueError, "declared bottom 'z' is not an element"),
+    (("0", "m", "1"), CHAIN3, {"bottom": "m"}, NotBounded,
+     "declared bottom 'm' is not below every element"),
+    (("0", "m", "1"), CHAIN3, {"top": "z"}, ValueError, "declared top 'z' is not an element"),
+    (("0", "m", "1"), CHAIN3, {"top": "m"}, NotBounded, "declared top 'm' is not above every element"),
+    (("0", "m", "1"), CHAIN3, {"bottom": "m", "top": "z"}, NotBounded,
+     "declared bottom 'm' is not below every element"),
+    (("0", "a", "b"), (("0", "a"), ("0", "b")), {}, NotBounded, "poset has no global upper bound"),
+    (("a", "b", "1"), (("a", "1"), ("b", "1")), {"top": "z"}, NotBounded,
+     "poset has no global lower bound"),
+    (("a", "b", "a"), (), {}, DuplicateElement, "element 'a' declared twice"),
+])
+def test_build_poset_errors(names, covers, bounds, kind, message):
+    """Each refusal of build_poset, the bottom checked before the top."""
+    with pytest.raises(kind) as err:
+        build_poset(names, covers, **bounds)
+    assert type(err.value) is kind and str(err.value) == message
+
+
 def test_undeclared_cover_reference():
     with pytest.raises(ValueError):
         build_poset(("0", "1"), (("0", "ghost"),))
@@ -152,8 +174,9 @@ def test_negation_involution_enforced():
     poset = build_poset(("0", "a", "b", "1"),
                         (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")))
     lattice = lattice_check(poset)
-    with pytest.raises(NotInvolutive):
+    with pytest.raises(NotInvolutive) as err:
         attach_ortho(lattice, [("0", "1"), ("a", "b"), ("b", "1")])
+    assert str(err.value) == "negation is not an involution; witnesses ['1', 'b']"
 
 
 def test_negation_fixed_point_rejected():
@@ -169,6 +192,19 @@ def test_complement_law_enforced():
     lattice = lattice_check(build_poset(("0", "m", "1"), CHAIN3))
     with pytest.raises(ComplementLawFails):
         attach_ortho(lattice, [("0", "1"), ("m", "m")])
+
+
+def test_complement_law_witnesses():
+    """On the chain 0 < a < b < 1 with neg(a) = b the negation reverses the
+    order, but a v b = b and a ^ b = a: four violating instances."""
+    chain = lattice_check(build_poset(("0", "a", "b", "1"), (("0", "a"), ("a", "b"), ("b", "1"))))
+    with pytest.raises(ComplementLawFails) as err:
+        attach_ortho(chain, [("0", "1"), ("a", "b")])
+    assert err.value.witnesses == (("a", "a v neg(a) != top"), ("b", "a v neg(a) != top"),
+                                   ("a", "a ^ neg(a) != bottom"), ("b", "a ^ neg(a) != bottom"))
+    assert str(err.value) == (
+        "complement laws fail; violating instances [('a', 'a v neg(a) != top'), "
+        "('b', 'a v neg(a) != top'), ('a', 'a ^ neg(a) != bottom'), ('b', 'a ^ neg(a) != bottom')]")
 
 
 def test_order_reversal_enforced():
@@ -192,6 +228,8 @@ def test_order_reversal_violation_raises():
     with pytest.raises(NotOrderReversing) as err:
         attach_ortho(lattice_check(poset), [("0", "a"), ("b", "1")])
     assert list(err.value.witnesses) == [("0", "b"), ("0", "1"), ("a", "1")]
+    assert str(err.value) == ("negation does not reverse the order; violating pairs "
+                              "[('0', 'b'), ('0', '1'), ('a', '1')]")
 
 
 # ten elements: a and b have two minimal upper bounds, u and v, so the

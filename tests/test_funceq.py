@@ -5,6 +5,7 @@ The closed-form oracle for x + y + xy: with w(x) = ln(1 + x) the rule
 becomes addition, so the normalized regraduation must agree with
 ln(1 + x) / ln(1 + x1) at every grid point (x1 the anchor)."""
 
+import json
 import math
 import struct
 from fractions import Fraction
@@ -218,6 +219,37 @@ def test_sampled_rule_guards_its_domain():
 def test_binary_samples_need_full_grid():
     with pytest.raises(ValueError):
         from_samples_binary([(0, 0, 0), (1, 1, 1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_unary_samples_must_be_finite(bad, where):
+    """A NaN or an infinity in x or in g(x) is refused, not interpolated."""
+    points = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+    points[1][where] = bad
+    with pytest.raises(ValueError, match="is not finite"):
+        from_samples_unary(points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_binary_samples_must_be_finite(bad, where):
+    points = [[x, y, x + y] for x in (0.0, 1.0) for y in (0.0, 1.0)]
+    points[3][where] = bad
+    with pytest.raises(ValueError, match="is not finite"):
+        from_samples_binary(points)
+
+
+@pytest.mark.parametrize("text, check", [("0,1\n0.5,nan\n1,0\n", "involution"),
+                                         ("0,0,0\n0,1,1\n1,0,1\n1,1,nan\n", "assoc")])
+def test_cox_refuses_a_non_finite_sample_file(tmp_path, capsys, text, check):
+    """Before sample rules had to be finite, the NaN rule passed `involution`
+    and the NaN grid printed an `assoc` report with no worst triple."""
+    path = tmp_path / "rule.csv"
+    path.write_text(text)
+    assert main(["cox", str(path), check]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "ValueError" and doc["error"].endswith(", nan) is not finite")
 
 
 def bits(value):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlprob import builders
 from qlprob.io import (
     DuplicateDeclaration,
+    LatticeDocument,
     ParseError,
     UnknownElement,
     ValueOutOfRange,
@@ -93,6 +94,164 @@ def test_conflicting_ortho_rejected():
     )
     with pytest.raises(DuplicateDeclaration):
         parse_lattice(text)
+
+
+def reference_parse_lattice(text: str) -> LatticeDocument:
+    """Reference lattice parser: each directive's arity and name checks
+    written out in a branch of its own."""
+    name = None
+    elements, known = [], set()
+    covers, cover_set = [], set()
+    ortho, partner = [], {}
+    bottom = top = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        directive, args = tokens[0], tokens[1:]
+        if directive == "lattice":
+            if name is not None:
+                raise DuplicateDeclaration(lineno, "second lattice header")
+            if len(args) != 1:
+                raise ParseError(lineno, "lattice header takes one name")
+            name = args[0]
+            continue
+        if name is None:
+            raise ParseError(lineno, "first directive must be the lattice header")
+        if directive == "element":
+            if len(args) != 1:
+                raise ParseError(lineno, "element takes one name")
+            if args[0] in known:
+                raise DuplicateDeclaration(lineno, f"element {args[0]!r} declared twice")
+            known.add(args[0])
+            elements.append(args[0])
+        elif directive == "cover":
+            if len(args) != 2:
+                raise ParseError(lineno, "cover takes two names")
+            for arg in args:
+                if arg not in known:
+                    raise UnknownElement(lineno, arg)
+            pair = (args[0], args[1])
+            if pair in cover_set:
+                raise DuplicateDeclaration(lineno, f"cover {pair} declared twice")
+            cover_set.add(pair)
+            covers.append(pair)
+        elif directive == "ortho":
+            if len(args) != 2:
+                raise ParseError(lineno, "ortho takes two names")
+            for arg in args:
+                if arg not in known:
+                    raise UnknownElement(lineno, arg)
+            a, b = args
+            for p, q in ((a, b), (b, a)):
+                if p in partner and partner[p] != q:
+                    raise DuplicateDeclaration(lineno, f"{p!r} already paired with {partner[p]!r}")
+            if a in partner:
+                raise DuplicateDeclaration(lineno, f"ortho pair {a!r} {b!r} declared twice")
+            partner[a], partner[b] = b, a
+            ortho.append((a, b))
+        elif directive == "bottom":
+            if len(args) != 1:
+                raise ParseError(lineno, "bottom takes one name")
+            if args[0] not in known:
+                raise UnknownElement(lineno, args[0])
+            if bottom is not None:
+                raise DuplicateDeclaration(lineno, "bottom declared twice")
+            bottom = args[0]
+        elif directive == "top":
+            if len(args) != 1:
+                raise ParseError(lineno, "top takes one name")
+            if args[0] not in known:
+                raise UnknownElement(lineno, args[0])
+            if top is not None:
+                raise DuplicateDeclaration(lineno, "top declared twice")
+            top = args[0]
+        else:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
+    if name is None:
+        raise ParseError(1, "missing lattice header")
+    return LatticeDocument(name=name, elements=tuple(elements), covers=tuple(covers),
+                           ortho_pairs=tuple(ortho), bottom=bottom, top=top)
+
+
+HEAD = "lattice x\nelement a\nelement b\n"  # lines 1-3; a case's own lines start at 4
+
+PARSE_ERRORS = [
+    ("lattice x\nlattice y\n", DuplicateDeclaration, 2, "second lattice header"),
+    ("lattice\n", ParseError, 1, "lattice header takes one name"),
+    ("# note\nlattice x y\n", ParseError, 2, "lattice header takes one name"),
+    ("element a\nlattice x\n", ParseError, 1, "first directive must be the lattice header"),
+    ("\nbogus\n", ParseError, 2, "first directive must be the lattice header"),
+    (HEAD + "element\n", ParseError, 4, "element takes one name"),
+    (HEAD + "element c d\n", ParseError, 4, "element takes one name"),
+    (HEAD + "cover a\n", ParseError, 4, "cover takes two names"),
+    (HEAD + "cover a b a\n", ParseError, 4, "cover takes two names"),
+    (HEAD + "ortho a\n", ParseError, 4, "ortho takes two names"),
+    (HEAD + "ortho c\n", ParseError, 4, "ortho takes two names"),
+    (HEAD + "bottom a b\n", ParseError, 4, "bottom takes one name"),
+    (HEAD + "top\n", ParseError, 4, "top takes one name"),
+    (HEAD + "bogus a b\n", ParseError, 4, "unknown directive 'bogus'"),
+    (HEAD + "lattices x\n", ParseError, 4, "unknown directive 'lattices'"),
+    (HEAD + "cover a c\n", UnknownElement, 4, "unknown element 'c'"),
+    (HEAD + "cover d c\n", UnknownElement, 4, "unknown element 'd'"),
+    (HEAD + "ortho c a\n", UnknownElement, 4, "unknown element 'c'"),
+    (HEAD + "bottom c\n", UnknownElement, 4, "unknown element 'c'"),
+    (HEAD + "top c\n", UnknownElement, 4, "unknown element 'c'"),
+    (HEAD + "element b\n", DuplicateDeclaration, 4, "element 'b' declared twice"),
+    (HEAD + "cover a b\n\ncover a b\n", DuplicateDeclaration, 6, "cover ('a', 'b') declared twice"),
+    (HEAD + "ortho a b\northo a b\n", DuplicateDeclaration, 5, "ortho pair 'a' 'b' declared twice"),
+    (HEAD + "ortho a b\northo b a\n", DuplicateDeclaration, 5, "ortho pair 'b' 'a' declared twice"),
+    (HEAD + "element c\northo a b\northo a c\n", DuplicateDeclaration, 6,
+     "'a' already paired with 'b'"),
+    (HEAD + "element c\northo a b\northo c b\n", DuplicateDeclaration, 6,
+     "'b' already paired with 'a'"),
+    (HEAD + "bottom a\nbottom a\n", DuplicateDeclaration, 5, "bottom declared twice"),
+    (HEAD + "top b\ntop a\n", DuplicateDeclaration, 5, "top declared twice"),
+    ("", ParseError, 1, "missing lattice header"),
+    ("# only a comment\n\n", ParseError, 1, "missing lattice header"),
+]
+
+
+@pytest.mark.parametrize("text, kind, line, message", PARSE_ERRORS)
+def test_parse_lattice_errors(text, kind, line, message):
+    """Every error of the lattice parser: its class, 1-based line and text."""
+    for parse in (parse_lattice, reference_parse_lattice):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert type(err.value) is kind
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+
+def outcome(parse, text):
+    """A parse's document, or its exception's class, text and line."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.line
+
+
+soup_name = st.sampled_from(["a", "b", "c", "a", "b", "c", "d", "#"])
+soup_line = st.tuples(
+    st.sampled_from(["element", "cover", "cover", "ortho", "ortho", "bottom", "top",
+                     "lattice", "bogus", "#", ""]),
+    st.one_of(st.lists(soup_name, min_size=1, max_size=2), st.lists(soup_name, max_size=3)),
+).map(lambda line: " ".join([line[0], *line[1]]))
+soups = st.builds(
+    lambda header, declared, rest: "\n".join(header + [f"element {e}" for e in declared] + rest),
+    st.sampled_from([["lattice x"]] * 6 + [[], ["lattice x y"], ["# x", "", "lattice x"]]),
+    st.lists(st.sampled_from("abcd"), unique=True, max_size=4),
+    st.lists(soup_line, max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(soups)
+@example("lattice x\nelement a\nelement b\ncover a b\northo a b\nbottom a\ntop b")
+def test_parse_lattice_matches_the_reference(text):
+    """On directive soups the parser returns the reference's document or
+    raises its exception, with the same text and line."""
+    assert outcome(parse_lattice, text) == outcome(reference_parse_lattice, text)
 
 
 def test_comments_and_blank_lines_ignored():
