@@ -123,7 +123,7 @@ def cmd_states(args) -> int:
                 for rel in relations
             ]
         elif args.mode == "extremes":
-            vertices = states.extreme_states(obj, cap=args.cap or 1024)
+            vertices = states.extreme_states(obj, cap=args.cap)
             payload["count"] = len(vertices)
             payload["vertices"] = [v.as_dict() for v in vertices]
         else:
@@ -143,10 +143,7 @@ def cmd_check(args) -> int:
     name, obj = source
     vdoc = parse_valuation(Path(args.valuation).read_text(), exact=args.exact)
     if vdoc.lattice_name != name:
-        _emit({
-            "source": name,
-            "error": f"valuation is for {vdoc.lattice_name!r}, not {name!r}",
-        })
+        _emit({"source": name, "error": f"valuation is for {vdoc.lattice_name!r}, not {name!r}"})
         return 2
     entries = vdoc.entries
     if args.float:
@@ -222,7 +219,7 @@ def cmd_hilbert(args) -> int:
     try:
         seeds = _load_seeds(args.seeds)
         d = seeds[0].d
-        ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap or 256)
+        ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap)
         rho = _load_rho(args.rho, d, args.seed)
         valuation = hilbert.born_valuation(rho, ortho, embedding)
         hits = scans[args.scan](ortho, valuation, tolerance) if args.scan else None
@@ -290,14 +287,15 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
     if not path.is_file():
         raise SourceError(f"unknown rule {spec!r} and no such sample file")
     rows = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(part) for part in line.split(",")])
-    if want_arity == 1:
-        return funceq.from_samples_unary([(r[0], r[1]) for r in rows])
-    return funceq.from_samples_binary([(r[0], r[1], r[2]) for r in rows])
+        row = [float(part) for part in line.split(",")]
+        if len(row) != want_arity + 1:
+            raise ValueError(f"line {number} of {spec}: expected {want_arity + 1} fields, got {len(row)}")
+        rows.append(row)
+    return (funceq.from_samples_unary if want_arity == 1 else funceq.from_samples_binary)(rows)
 
 
 def cmd_cox(args) -> int:
@@ -345,41 +343,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run):
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--dot", action="store_true")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--exact", action="store_true")
-        group.add_argument("--float", action="store_true")
-        p.set_defaults(run=run)
-
     p = sub.add_parser("classify", help="order and law analysis of a lattice")
     p.add_argument("source")
-    common(p, cmd_classify)
+    p.add_argument("--dot", action="store_true")
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("states", help="state polytope artifacts")
     p.add_argument("source")
     p.add_argument("mode", choices=["find", "extremes", "relations"])
-    common(p, cmd_states)
+    p.add_argument("--cap", type=int, default=1024)
+    p.set_defaults(run=cmd_states)
 
     p = sub.add_parser("check", help="verify a valuation file against a lattice")
     p.add_argument("source")
     p.add_argument("valuation")
-    common(p, cmd_check)
+    p.add_argument("--tolerance", type=float)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--exact", action="store_true")
+    group.add_argument("--float", action="store_true")
+    p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("hilbert", help="generate a projector lattice and its Born valuation")
     p.add_argument("seeds", help="JSON file of seed subspaces")
     p.add_argument("--rho", default="maxmixed",
                    help="maxmixed | random | pure:<vector> | matrix JSON path")
-    p.add_argument("--scan", choices=["ie", "subadd"], default=None)
-    common(p, cmd_hilbert)
+    p.add_argument("--scan", choices=["ie", "subadd"])
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cap", type=int, default=256)
+    p.add_argument("--dot", action="store_true")
+    p.set_defaults(run=cmd_hilbert)
 
     p = sub.add_parser("cox", help="combination-rule checks and regraduation")
     p.add_argument("rule", help="builtin name or samples CSV")
     p.add_argument("check", choices=["involution", "assoc", "regraduate"])
-    common(p, cmd_cox)
+    p.add_argument("--tolerance", type=float)
+    p.set_defaults(run=cmd_cox)
     return parser
 
 
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cap is not None and args.cap < 1:
+        if getattr(args, "cap", 1) < 1:  # states and hilbert take a cap
             raise ValueError(f"--cap must be at least 1, not {args.cap}")
         return args.run(args)
     except CapExceeded as err:

@@ -36,6 +36,7 @@ STEP_SLACK = 1e-15  # a ruler step this far past x still counts toward w(x)
 RULER_END = 1e-14  # halving stops at a tick this close to lo, times max(1, hi − lo)
 RESIDUAL_LIMIT = 1e-6  # the largest additivity residual a regraduation may keep
 MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
+GRID_SIZE = 33  # points per axis of the involution, associativity and regraduation grids
 
 
 class DomainEscape(Exception):
@@ -93,12 +94,13 @@ _BUILTINS: dict[str, tuple[int, Callable]] = {
 }
 
 
-def builtin(name: str, lo: float = 0.0, hi: float = 1.0) -> CoxFunction:
+def builtin(name: str) -> CoxFunction:
+    """The named closed-form rule on [0, 1]."""
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown rule {name!r}; built in: {known}")
     arity, fn = _BUILTINS[name]
-    return CoxFunction(arity=arity, lo=lo, hi=hi, fn=fn, total=True, label=name)
+    return CoxFunction(arity=arity, lo=0.0, hi=1.0, fn=fn, total=True, label=name)
 
 
 def _formula(f: CoxFunction) -> Callable:
@@ -129,23 +131,19 @@ def _finite(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     return points
 
 
-def from_samples_unary(points, lo=None, hi=None) -> CoxFunction:
-    """Piecewise-linear rule through finite (x, g(x)) samples."""
+def from_samples_unary(points) -> CoxFunction:
+    """Piecewise-linear rule through finite (x, g(x)) samples, on their x range."""
     pts = sorted(_finite([(float(x), float(y)) for x, y in points]))
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("need at least two samples with distinct increasing x")
-    lo = xs[0] if lo is None else lo
-    hi = xs[-1] if hi is None else hi
-    return CoxFunction(
-        arity=1, lo=float(lo), hi=float(hi),
-        fn=lambda x: _interp(x, xs, ys),
-        total=False, label="samples",
-    )
+    return CoxFunction(arity=1, lo=xs[0], hi=xs[-1], fn=lambda x: _interp(x, xs, ys),
+                       total=False, label="samples")
 
 
-def from_samples_binary(points, lo=None, hi=None) -> CoxFunction:
-    """Bilinear rule through finite (x, y, f(x,y)) samples on a full grid."""
+def from_samples_binary(points) -> CoxFunction:
+    """Bilinear rule through finite (x, y, f(x,y)) samples on a full grid,
+    on the range of both coordinates."""
     points = _finite([(float(x), float(y), float(v)) for x, y, v in points])
     xs = sorted({x for x, _, _ in points})
     ys = sorted({y for _, y, _ in points})
@@ -166,11 +164,8 @@ def from_samples_binary(points, lo=None, hi=None) -> CoxFunction:
             + grid[i + 1][j + 1] * tx * ty
         )
 
-    lo = min(xs[0], ys[0]) if lo is None else lo
-    hi = max(xs[-1], ys[-1]) if hi is None else hi
-    return CoxFunction(
-        arity=2, lo=float(lo), hi=float(hi), fn=interp, total=False, label="samples"
-    )
+    return CoxFunction(arity=2, lo=min(xs[0], ys[0]), hi=max(xs[-1], ys[-1]), fn=interp,
+                       total=False, label="samples")
 
 
 class InvolutionReport(Record):
@@ -180,13 +175,12 @@ class InvolutionReport(Record):
     identity: bool
 
 
-def check_involution(g: CoxFunction, grid_size: int = 33,
-                     tolerance: float = CHECK_TOLERANCE) -> InvolutionReport:
+def check_involution(g: CoxFunction, tolerance: float = CHECK_TOLERANCE) -> InvolutionReport:
     """Measure g(g(x)) − x on a uniform grid.  g must map the interval
     into itself; a point sent outside raises DomainEscape."""
     if g.arity != 1:
         raise TypeError("involution check needs a unary rule")
-    grid = _linspace(g.lo, g.hi, grid_size)
+    grid = _linspace(g.lo, g.hi, GRID_SIZE)
     worst = -1.0
     worst_x = g.lo
     identity_gap = 0.0
@@ -215,7 +209,7 @@ class AssociativityReport(Record):
     skipped: int
 
 
-def check_associativity(f: CoxFunction, grid_size: int = 33,
+def check_associativity(f: CoxFunction, grid_size: int = GRID_SIZE,
                         tolerance: float = CHECK_TOLERANCE) -> AssociativityReport:
     """Measure f(f(x,y),z) − f(x,f(y,z)) over the grid cube.  Triples a
     sample-backed rule cannot complete are skipped; more than half
@@ -279,7 +273,7 @@ def _bisect_diagonal(f: Callable, target: float, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def regraduate(f: CoxFunction, grid_size: int = 33) -> RegraduationResult:
+def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult:
     """Additive rescaling of an associative rule.
 
     Anchored at w(lo) = 0 and w(x1) = 1 for the first interior grid

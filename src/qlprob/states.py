@@ -171,6 +171,11 @@ def build_state_system(ortho: OrthoLattice) -> StateSystem:
     return StateSystem(variables=ortho.names, rows=tuple(rows))
 
 
+def _tolerance(valuation: Valuation, tolerance):
+    """tolerance, or by default 0 for an exact valuation and FLOAT_TOLERANCE otherwise."""
+    return (0 if valuation.is_exact() else FLOAT_TOLERANCE) if tolerance is None else tolerance
+
+
 def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> StateCheckReport:
     """Check every state constraint.  tolerance defaults to 0 for exact
     valuations and to FLOAT_TOLERANCE otherwise.  The complement law
@@ -181,8 +186,7 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
     signs it and summed in index order as Row.residual sums it."""
     if valuation.lattice is not ortho and valuation.lattice.names != ortho.names:
         raise DomainMismatch("valuation built for a different lattice")
-    if tolerance is None:
-        tolerance = 0 if valuation.is_exact() else FLOAT_TOLERANCE
+    tolerance = _tolerance(valuation, tolerance)
     require_orthomodular(ortho)
     values, names, bottom, top = valuation.values, ortho.names, ortho.bottom, ortho.top
     violations: list[Violation] = []
@@ -494,8 +498,7 @@ def inclusion_exclusion_scan(
     """Pairs where s(a)+s(b) − s(a∧b) − s(a∨b) is nonzero beyond
     tolerance.  Each hit records whether (a∧b)∨(a∧¬b) sits strictly
     below a, the lattice-side mechanism behind the defect."""
-    if tolerance is None:
-        tolerance = 0 if valuation.is_exact() else FLOAT_TOLERANCE
+    tolerance = _tolerance(valuation, tolerance)
     _checked(ortho, valuation, tolerance)
     values = valuation.values
     out = []
@@ -519,8 +522,7 @@ def subadditivity_scan(
     ortho: OrthoLattice, valuation: Valuation, tolerance=None
 ) -> list[PairDefect]:
     """Pairs with s(a∨b) > s(a) + s(b) beyond tolerance."""
-    if tolerance is None:
-        tolerance = 0 if valuation.is_exact() else FLOAT_TOLERANCE
+    tolerance = _tolerance(valuation, tolerance)
     _checked(ortho, valuation, tolerance)
     values = valuation.values
     out = []

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main() with captured stdout;
 exit codes and the JSON envelope are part of the public contract."""
 
+import argparse
 import json
 import math
 import shlex
@@ -308,11 +309,16 @@ def test_hilbert_cap(capsys, tmp_path):
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("command", ["states", "hilbert", "classify"])
 def test_cap_below_one_rejected(capsys, d2_seeds, command, cap):
-    """Every subcommand takes --cap, so every one rejects a cap below 1,
-    also those that do not read it."""
+    """states and hilbert read --cap and reject a cap below 1 with an
+    error document; classify has no --cap, so there it is a usage error."""
     argv = {"states": ["states", "mo:2", "extremes"],
             "hilbert": ["hilbert", d2_seeds],
             "classify": ["classify", "l12"]}[command]
+    if command == "classify":
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--cap", cap])
+        assert err.value.code == 2 and capsys.readouterr().out == ""
+        return
     code, doc = run(capsys, *argv, "--cap", cap)
     assert code == 2
     assert doc["kind"] == "ValueError"
@@ -395,6 +401,60 @@ def test_cox_samples_csv(capsys, tmp_path):
     path.write_text("\n".join(f"{x},{1 - x}" for x in xs))
     code, doc = run(capsys, "cox", str(path), "involution")
     assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize("rows, check, line, want, got",
+                         [("two-column.csv", "assoc", 2, 3, 2),
+                          ("short.csv", "involution", 3, 2, 1),
+                          ("0,0,0\n0,1,1\n1,0,1,0\n", "regraduate", 3, 3, 4),
+                          ("0,1,1\n1,0,0\n", "involution", 1, 2, 3)],
+                         ids=["binary-two-fields", "unary-one-field", "binary-four-fields",
+                              "unary-three-fields"])
+def test_cox_rows_need_exactly_arity_plus_one_fields(capsys, tmp_path, rows, check, line,
+                                                      want, got):
+    """A CSV row of the wrong width, as in the two fixtures of
+    scripts/cli_jobs/, is refused with one error document naming its line
+    and both widths, exit 2."""
+    path = SCRIPTS / "cli_jobs" / rows
+    if not rows.endswith(".csv"):
+        path = tmp_path / "rule.csv"
+        path.write_text(rows)
+    code, doc = run(capsys, "cox", str(path), check)
+    assert code == 2
+    assert doc == {"schema": 1, "kind": "ValueError",
+                   "error": f"line {line} of {path}: expected {want} fields, got {got}"}
+
+
+# the optional flags each subcommand declares, each read by its cmd_* function
+OPTIONS = {"classify": {"--dot"}, "states": {"--cap"},
+           "check": {"--tolerance", "--exact", "--float"},
+           "hilbert": {"--rho", "--scan", "--tolerance", "--seed", "--cap", "--dot"},
+           "cox": {"--tolerance"}}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {flag for action in p._actions for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, p in sub.choices.items()}
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 12
+
+
+@pytest.mark.parametrize("argv", [["classify", "l12", "--seed", "3"],
+                                  ["states", "l12", "extremes", "--tolerance", "0.5"],
+                                  ["check", "l12", str(DATA / "l12_quarter.val"), "--cap", "3"],
+                                  ["hilbert", "SEEDS", "--exact"],
+                                  ["cox", "sum", "assoc", "--dot"],
+                                  ["check", "l12", str(DATA / "l12_quarter.val"), "--exact", "--float"]],
+                         ids=["classify", "states", "check", "hilbert", "cox", "check-exact-float"])
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, d2_seeds, argv):
+    with pytest.raises(SystemExit) as err:
+        main([d2_seeds if arg == "SEEDS" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_usage_error_exits_2():
