@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from pathlib import Path
 
 from .core import (
     CapExceeded,
@@ -15,6 +16,9 @@ from .core import (
     build_poset,
     lattice_check,
 )
+from .io import lattice_from_document, parse_lattice
+
+_DATA = Path(__file__).parent / "data"
 
 
 def _subset_name(mask: int) -> str:
@@ -56,22 +60,15 @@ def powerset(n: int) -> OrthoLattice:
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
 
 
+def _shipped(name: str):
+    """The lattice that data/<name>.lat ships, parsed and verified."""
+    return lattice_from_document(parse_lattice((_DATA / f"{name}.lat").read_text()))
+
+
 def firefly_l12() -> OrthoLattice:
     """The 12-element firefly-box lattice: two 8-element Boolean blocks
     on atom sets {l, r, n} and {f, b, n}, pasted along {0, n, ~n, 1}."""
-    names = ["0", "l", "r", "f", "b", "n", "~l", "~r", "~f", "~b", "~n", "1"]
-    covers = [
-        ("0", "l"), ("0", "r"), ("0", "f"), ("0", "b"), ("0", "n"),
-        ("l", "~r"), ("l", "~n"),
-        ("r", "~l"), ("r", "~n"),
-        ("f", "~b"), ("f", "~n"),
-        ("b", "~f"), ("b", "~n"),
-        ("n", "~l"), ("n", "~r"), ("n", "~f"), ("n", "~b"),
-        ("~l", "1"), ("~r", "1"), ("~f", "1"), ("~b", "1"), ("~n", "1"),
-    ]
-    lat = lattice_check(build_poset(names, covers, bottom="0", top="1"))
-    pairs = [("0", "1"), ("l", "~l"), ("r", "~r"), ("f", "~f"), ("b", "~b"), ("n", "~n")]
-    return attach_ortho(lat, pairs)
+    return _shipped("l12")
 
 
 def mo(n: int) -> OrthoLattice:
@@ -91,14 +88,9 @@ def mo(n: int) -> OrthoLattice:
 
 def n5() -> Lattice:
     """The pentagon: smallest non-modular lattice.  No orthocomplementation."""
-    names = ["0", "a", "b", "c", "1"]
-    covers = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
-    return lattice_check(build_poset(names, covers, bottom="0", top="1"))
+    return _shipped("n5")
 
 
 def o6() -> OrthoLattice:
     """The hexagon: an ortholattice that is not orthomodular."""
-    names = ["0", "a", "b", "c", "d", "1"]
-    covers = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "d"), ("d", "1")]
-    lat = lattice_check(build_poset(names, covers, bottom="0", top="1"))
-    return attach_ortho(lat, [("0", "1"), ("a", "d"), ("b", "c")])
+    return _shipped("o6")

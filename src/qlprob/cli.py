@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "cap", 1) < 1:  # states and hilbert take a cap
             raise ValueError(f"--cap must be at least 1, not {args.cap}")
+        tolerance = getattr(args, "tolerance", None)  # check, hilbert and cox take one
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError(f"--tolerance must be a finite number at least 0, not {tolerance}")
         return args.run(args)
     except CapExceeded as err:
         return _failure(err, 1)

@@ -14,7 +14,9 @@ in any block that holds it.  So a state is fixed by its atom values
 x >= 0, subject to one "atoms sum to 1" row per block and one agreement
 row wherever two blocks share an element.  That small system has the
 solutions of the full additivity system; build_state_system writes that
-out only as the reference that is_state is tested against.
+out only as the reference that is_state is tested against.  The
+relations, the vertex search's system and the find fallback's simplex
+share one Gauss-Jordan step, _pivot.
 
 All polytope work is exact: coefficients are Fractions throughout, and
 equality claims in reports mean equality of rationals, not closeness.
@@ -213,30 +215,34 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
 
 # -- exact linear algebra ---------------------------------------------------
 
+def _pivot(rows: list[list[Fraction]], r: int, col: int):
+    """One Gauss-Jordan step in place: scale row r to 1 at col and clear
+    col from every other row, over row r's nonzero entries."""
+    inv = 1 / rows[r][col]
+    lead = rows[r] = [c * inv for c in rows[r]]
+    nonzero = [j for j, y in enumerate(lead) if y]
+    for k, row in enumerate(rows):
+        factor = row[col]
+        if k != r and factor:
+            for j in nonzero:
+                row[j] -= factor * lead[j]
+
+
 def _rref(rows: list[list[Fraction]], width: int, order=None):
     """In-place reduced row echelon form over the first `width` columns,
     visited in `order`; trailing columns ride along as right sides.
     Returns (rows without zero rows, pivot column list)."""
     if order is None:
         order = range(width)
-    rank = 0
     pivots = []
     for col in order:
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        lead = rows[rank] = [c * inv for c in rows[rank]]
-        nonzero = [j for j, y in enumerate(lead) if y]
-        for r in range(len(rows)):
-            factor = rows[r][col]
-            if r != rank and factor:
-                for j in nonzero:
-                    rows[r][j] -= factor * lead[j]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            _pivot(rows, rank, col)
+            pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
 def _atom_system(ortho: OrthoLattice):
@@ -355,84 +361,53 @@ def solve_in_unit_box(rows, n: int) -> list[Fraction]:
     raises Infeasible carrying a Farkas certificate: multipliers y per
     label with sum_y coeffs <= 0 componentwise (over x and slack
     columns) while sum_y rhs > 0."""
-    labels = [label for _, _, label in rows]
+    labels = [label for _, _, label in rows] + [f"box {i}" for i in range(n)]
     # x_i + y_i = 1 folds the upper bounds into equality form
-    eq = [(list(c) + [Fraction(0)] * n, r) for c, r, _ in rows]
+    eq = [(list(c) + [_ZERO] * n, r) for c, r, _ in rows]
     for i in range(n):
-        slack = [Fraction(0)] * (2 * n)
-        slack[i] = slack[n + i] = Fraction(1)
-        eq.append((slack, Fraction(1)))
-        labels.append(f"box {i}")
+        slack = [_ZERO] * (2 * n)
+        slack[i] = slack[n + i] = _ONE
+        eq.append((slack, _ONE))
     flipped = [rhs < 0 for _, rhs in eq]
     m = len(eq)
-    width = 2 * n + m
+    # a row per equation, [x and slack coeffs, artificials, rhs], signed so
+    # that rhs >= 0; the last row holds the phase-I reduced costs, each
+    # column's cost (1 on an artificial) less its column sum
     tableau = []
-    rhs_col = []
     for r, (coeffs, rhs) in enumerate(eq):
-        if flipped[r]:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        row = coeffs + [Fraction(0)] * m
-        row[2 * n + r] = Fraction(1)
+        row = [-c if flipped[r] else c for c in coeffs + [rhs]]
+        row[2 * n:2 * n] = [_ZERO] * m
+        row[2 * n + r] = _ONE
         tableau.append(row)
-        rhs_col.append(rhs)
-    basis = [2 * n + r for r in range(m)]
-    cost = [Fraction(0)] * (2 * n) + [Fraction(1)] * m
+    cost = [-sum(row[j] for row in tableau) for j in range(2 * n + m + 1)]
+    cost[2 * n:2 * n + m] = [_ZERO] * m
+    tableau.append(cost)
+    basis = list(range(2 * n, 2 * n + m))
 
-    while True:
-        duals = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(width):
-            reduced = cost[j] - sum(
-                duals[i] * tableau[i][j] for i in range(m) if tableau[i][j]
-            )
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = rhs_col[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+    while (entering := next((j for j, c in enumerate(cost[:-1]) if c < 0), None)) is not None:
+        # Bland's ratio test: the least ratio, a tie to the lowest basic column
+        ratios = [(tableau[i][-1] / tableau[i][entering], basis[i], i)
+                  for i in range(m) if tableau[i][entering] > 0]
+        if not ratios:
             raise Infeasible("phase-I objective unbounded; malformed system")
-        inv = 1 / tableau[leaving][entering]
-        tableau[leaving] = [c * inv for c in tableau[leaving]]
-        rhs_col[leaving] *= inv
-        for i in range(m):
-            if i != leaving and tableau[i][entering]:
-                f = tableau[i][entering]
-                tableau[i] = [
-                    x - f * y for x, y in zip(tableau[i], tableau[leaving])
-                ]
-                rhs_col[i] -= f * rhs_col[leaving]
+        _, _, leaving = min(ratios)
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
 
-    objective = sum(
-        rhs_col[i] for i in range(m) if basis[i] >= 2 * n
-    )
-    if objective > 0:
-        duals = [cost[basis[i]] for i in range(m)]
+    if cost[-1] < 0:  # minus the sum of the artificials left in the basis
         certificate = {}
         for r in range(m):
-            y = sum(duals[i] * tableau[i][2 * n + r] for i in range(m))
+            # y_r is 1 less the reduced cost of row r's artificial
+            y = _ONE - cost[2 * n + r]
             if flipped[r]:
                 y = -y
             if y:
                 certificate[labels[r]] = y
         raise Infeasible("no point satisfies the system", certificate)
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rhs_col[i]
+            x[basis[i]] = tableau[i][-1]
     return x
 
 

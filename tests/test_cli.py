@@ -325,6 +325,36 @@ def test_cap_below_one_rejected(capsys, d2_seeds, command, cap):
     assert doc["error"] == f"--cap must be at least 1, not {cap}"
 
 
+@pytest.fixture()
+def tolerance_jobs(tmp_path, d2_seeds):
+    """One job per subcommand that reads --tolerance.  The check job's
+    valuation, 0.5 everywhere on l12, is not a state, so a bound that
+    passed it would be visible."""
+    path = tmp_path / "half.val"
+    path.write_text("valuation for l12\n" + "".join(f"{e} = 0.5\n" for e in
+                    ("0", "l", "r", "f", "b", "n", "~l", "~r", "~f", "~b", "~n", "1")))
+    return {"check": ["check", "l12", str(path)], "hilbert": ["hilbert", d2_seeds],
+            "cox": ["cox", "one-minus", "involution"]}
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("command", ["check", "hilbert", "cox"])
+def test_tolerance_that_bounds_nothing_rejected(capsys, tolerance_jobs, command, tolerance):
+    """A NaN bound passes every comparison, a negative one fails values in
+    range, and an infinite one passes everything: each exits 2 with one
+    error document, as a cap below 1 does."""
+    code, doc = run(capsys, *tolerance_jobs[command], f"--tolerance={tolerance}")
+    assert code == 2
+    assert doc == {"schema": 1, "kind": "ValueError",
+                   "error": f"--tolerance must be a finite number at least 0, not {float(tolerance)}"}
+
+
+@pytest.mark.parametrize("command", ["check", "hilbert", "cox"])
+def test_tolerance_zero_accepted(capsys, tolerance_jobs, command):
+    code, doc = run(capsys, *tolerance_jobs[command], "--tolerance", "0")
+    assert "kind" not in doc and code == (1 if command == "check" else 0)
+
+
 def test_hilbert_malformed_seeds(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[[1, 2,")

@@ -422,6 +422,170 @@ def test_block_restriction_is_classical(l12):
                         == state.values[a] + state.values[b])
 
 
+def reference_solve_in_unit_box(rows, n: int) -> list[Fraction]:
+    """The phase-I simplex as it was before its tableau carried the reduced
+    costs: the same Bland's rule and box folding, with the duals and every
+    column's reduced cost recomputed on each pass.  The solver is tested
+    against it."""
+    labels = [label for _, _, label in rows]
+    # x_i + y_i = 1 folds the upper bounds into equality form
+    eq = [(list(c) + [Fraction(0)] * n, r) for c, r, _ in rows]
+    for i in range(n):
+        slack = [Fraction(0)] * (2 * n)
+        slack[i] = slack[n + i] = Fraction(1)
+        eq.append((slack, Fraction(1)))
+        labels.append(f"box {i}")
+    flipped = [rhs < 0 for _, rhs in eq]
+    m = len(eq)
+    width = 2 * n + m
+    tableau = []
+    rhs_col = []
+    for r, (coeffs, rhs) in enumerate(eq):
+        if flipped[r]:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+        row = coeffs + [Fraction(0)] * m
+        row[2 * n + r] = Fraction(1)
+        tableau.append(row)
+        rhs_col.append(rhs)
+    basis = [2 * n + r for r in range(m)]
+    cost = [Fraction(0)] * (2 * n) + [Fraction(1)] * m
+
+    while True:
+        duals = [cost[basis[i]] for i in range(m)]
+        entering = None
+        for j in range(width):
+            reduced = cost[j] - sum(
+                duals[i] * tableau[i][j] for i in range(m) if tableau[i][j]
+            )
+            if reduced < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = rhs_col[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            raise Infeasible("phase-I objective unbounded; malformed system")
+        inv = 1 / tableau[leaving][entering]
+        tableau[leaving] = [c * inv for c in tableau[leaving]]
+        rhs_col[leaving] *= inv
+        for i in range(m):
+            if i != leaving and tableau[i][entering]:
+                f = tableau[i][entering]
+                tableau[i] = [
+                    x - f * y for x, y in zip(tableau[i], tableau[leaving])
+                ]
+                rhs_col[i] -= f * rhs_col[leaving]
+        basis[leaving] = entering
+
+    objective = sum(
+        rhs_col[i] for i in range(m) if basis[i] >= 2 * n
+    )
+    if objective > 0:
+        duals = [cost[basis[i]] for i in range(m)]
+        certificate = {}
+        for r in range(m):
+            y = sum(duals[i] * tableau[i][2 * n + r] for i in range(m))
+            if flipped[r]:
+                y = -y
+            if y:
+                certificate[labels[r]] = y
+        raise Infeasible("no point satisfies the system", certificate)
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rhs_col[i]
+    return x
+
+
+def solver_outcome(solve, rows, n):
+    """x, or the Infeasible message and certificate."""
+    try:
+        return solve(rows, n)
+    except Infeasible as err:
+        return str(err), err.certificate
+
+
+def assert_farkas(rows, n, certificate):
+    """Farkas's conditions, exactly: over the x and slack columns, with box
+    row i read as e_i + e_{n+i} = 1, sum y * row <= 0 componentwise and
+    sum y * rhs > 0."""
+    system = {label: (list(coeffs) + [F(0)] * n, rhs) for coeffs, rhs, label in rows}
+    for i in range(n):
+        system[f"box {i}"] = ([F(int(j in (i, n + i))) for j in range(2 * n)], F(1))
+    assert certificate and set(certificate) <= set(system)
+    combined = [sum(y * system[label][0][j] for label, y in certificate.items())
+                for j in range(2 * n)]
+    assert all(c <= 0 for c in combined)
+    assert sum(y * system[label][1] for label, y in certificate.items()) > 0
+
+
+def solve_checked(rows, n):
+    """The solver's outcome, asserted equal to the reference's, and checked:
+    x satisfies every row and the box; a certificate satisfies Farkas."""
+    outcome = solver_outcome(solve_in_unit_box, rows, n)
+    assert outcome == solver_outcome(reference_solve_in_unit_box, rows, n)
+    if isinstance(outcome, tuple):
+        assert outcome[0] == "no point satisfies the system"
+        assert_farkas(rows, n, outcome[1])
+    else:
+        assert all(0 <= v <= 1 for v in outcome) and len(outcome) == n
+        assert all(sum(c * v for c, v in zip(coeffs, outcome)) == rhs for coeffs, rhs, _ in rows)
+    return outcome
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def systems(draw):
+    """n <= 6 unknowns and m <= 5 rows of small rationals; right sides of
+    both signs, so some rows are flipped."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=5))
+    return [(draw(st.lists(small, min_size=n, max_size=n)), draw(small), f"r{k}")
+            for k in range(m)], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example(([([F(1)], F(0), "zero"), ([F(1)], F(1), "one")], 1))
+@example(([([F(1), F(-1)], F(-1, 2), "flip"), ([F(1), F(1)], F(-1), "neg")], 2))
+def test_solver_matches_the_reference(system):
+    solve_checked(*system)
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"mo:{k}" for k in range(1, 15)),
+    *(f"powerset:{k}" for k in range(1, 7)),
+    "l12",
+    *(pytest.param(str(DATA / f"{name}.lat"), id=f"{name}.lat")
+      for name in ("l12", "mo2", "petersen")),
+    pytest.param("pentagon", id="pentagon"),
+])
+def test_solver_matches_the_reference_on_atom_rows(spec):
+    """The rows find_state hands the solver, for every builder and shipped
+    lattice that has a state system (n5 has no negation and o6 is not
+    orthomodular), and for the Greechie pentagon."""
+    if spec == "pentagon":
+        ortho = lattice_from_document(parse_lattice(greechie_text(petersen_blocks(range(5)))))
+    else:
+        ortho = load_source(spec)[1]
+    rows, _, _ = states._atom_system(ortho)
+    x = solve_checked([(r[1:], -r[0], f"row {k}") for k, r in enumerate(rows)], len(ortho.atoms))
+    assert isinstance(x, list)
+
+
 def test_solver_simple_balance():
     rows = [
         ([F(1), F(1)], F(1), "sum"),
@@ -445,18 +609,15 @@ def test_solver_infeasibility_certificate():
     with pytest.raises(Infeasible) as err:
         solve_in_unit_box(rows, 1)
     cert = err.value.certificate
-    assert cert is not None
-    # the multipliers refute the system: y.A has no positive entry
-    # over the box while y.b is positive
     assert set(cert) <= {"zero", "one", "box 0"}
-    assert sum(cert.get(l, 0) * r for l, r in (("zero", F(0)), ("one", F(1)))) != 0
+    assert_farkas(rows, 1, cert)
 
 
 def test_solver_infeasible_beyond_box():
     rows = [([F(1), F(1)], F(3), "sum")]
     with pytest.raises(Infeasible) as err:
         solve_in_unit_box(rows, 2)
-    assert err.value.certificate
+    assert_farkas(rows, 2, err.value.certificate)
 
 
 def test_valuation_from_document_requires_totality(l12):
