@@ -7,8 +7,10 @@ disguise: there is a strictly increasing w with w(f(x,y)) = w(x)+w(y),
 unique up to a positive factor.  regraduate constructs that w directly
 with a dyadic ruler: it anchors w = 1 at the first interior grid point,
 repeatedly solves f(t,t) = previous t to halve the unit, then measures
-any x greedily with the resulting graduations.  Each halving is a
-bisection on the diagonal, so the construction is limited by float
+any x with the resulting graduations: greedily with the unit, read off
+one table of its multiples, then at most one step of each finer one, so
+w(x)'s binary digits name the walk and w⁻¹ replays them.  Each halving
+is a bisection on the diagonal, so the construction is limited by float
 precision rather than by any interpolation grid, and the residuals on
 closed-form rules come out near 1e-11.
 
@@ -35,7 +37,7 @@ TOP_SLACK = 1e-9  # a w-sum this far past w(hi) still maps back, to at most hi
 STEP_SLACK = 1e-15  # a ruler step this far past x still counts toward w(x)
 RULER_END = 1e-14  # halving stops at a tick this close to lo, times max(1, hi − lo)
 RESIDUAL_LIMIT = 1e-6  # the largest additivity residual a regraduation may keep
-MEASURE_CACHE = 1024  # w values kept; regraduate uses ~200, its conjugate's check ~800
+MEASURE_CACHE = 1024  # w values kept; regraduate uses 198–252, its conjugate's 33³ check 789
 GRID_SIZE = 33  # points per axis of the involution, associativity and regraduation grids
 
 
@@ -77,11 +79,13 @@ class CoxFunction(Record):
     def __call__(self, *args: float) -> float:
         if len(args) != self.arity:
             raise TypeError(f"{self.label or 'rule'} takes {self.arity} arguments")
-        if not self.total:
-            for a in args:
-                if a < self.lo - DOMAIN_SLACK or a > self.hi + DOMAIN_SLACK:
-                    raise DomainEscape(a)
+        for a in filter(self.escapes, args):
+            raise DomainEscape(a)
         return float(self.fn(*args))
+
+    def escapes(self, a: float) -> bool:
+        """Whether the guard refuses a: never for a total rule."""
+        return not self.total and (a < self.lo - DOMAIN_SLACK or a > self.hi + DOMAIN_SLACK)
 
 
 _BUILTINS: dict[str, tuple[int, Callable]] = {
@@ -104,10 +108,10 @@ def builtin(name: str) -> CoxFunction:
 
 
 def _formula(f: CoxFunction) -> Callable:
-    """f as a binary call: a total rule's formula read as a float, as it has
-    no domain to guard; a sample rule itself, guard and all."""
+    """f as a binary call without the domain guard, read as a float as
+    f(x, y) reads it; for the callers whose arguments the guard passes."""
     fn = f.fn
-    return (lambda x, y: float(fn(x, y))) if f.total else f
+    return lambda x, y: float(fn(x, y))
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -213,25 +217,33 @@ def check_associativity(f: CoxFunction, grid_size: int = GRID_SIZE,
                         tolerance: float = CHECK_TOLERANCE) -> AssociativityReport:
     """Measure f(f(x,y),z) − f(x,f(y,z)) over the grid cube.  Triples a
     sample-backed rule cannot complete are skipped; more than half
-    skipped aborts with TooManySkips."""
+    skipped aborts with TooManySkips.  f(x,y) and f(y,z) are both read
+    from one grid × grid table of f, None where the value escapes."""
     if f.arity != 2:
         raise TypeError("associativity check needs a binary rule")
     grid, call = _linspace(f.lo, f.hi, grid_size), _formula(f)
-    worst = -1.0
-    worst_triple = None
-    evaluated = 0
-    skipped = 0
-    for x in grid:
-        for y in grid:
-            try:
-                xy = call(x, y)
-            except DomainEscape:
+
+    def entry(x, y):
+        try:
+            return None if f.escapes(value := call(x, y)) else value
+        except DomainEscape:  # a total rule may refuse by itself, as the conjugate does
+            return None
+
+    table = [[entry(x, y) for y in grid] for x in grid]
+    worst, worst_triple = -1.0, None
+    evaluated = skipped = 0
+    for x, row in zip(grid, table):
+        for y, xy, y_row in zip(grid, row, table):
+            if xy is None:
                 skipped += len(grid)
                 continue
-            for z in grid:
+            for z, yz in zip(grid, y_row):
+                if yz is None:
+                    skipped += 1
+                    continue
                 try:
                     lhs = call(xy, z)
-                    rhs = call(x, call(y, z))
+                    rhs = call(x, yz)
                 except DomainEscape:
                     skipped += 1
                     continue
@@ -261,11 +273,13 @@ class RegraduationResult(Record):
 
 
 def _bisect_diagonal(f: Callable, target: float, lo: float, hi: float) -> float:
-    """Solve f(t, t) = target for t; the diagonal is strictly
-    increasing once monotonicity passed."""
+    """Solve f(t, t) = target for t; the diagonal is strictly increasing
+    once monotonicity passed.  A midpoint equal to an end is final."""
     a, b = lo, hi
     for _ in range(80):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
         if f(mid, mid) < target:
             a = mid
         else:
@@ -281,9 +295,9 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
     grid first, then requires f(lo, lo) = lo (no additive zero means no
     additive form on this interval), builds the dyadic ruler, and
     finally measures the worst additivity residual over all grid pairs
-    whose f value stays inside the interval.  The inverse w⁻¹(t)
-    replays the ruler: the greedy walk of w, stopped where its weight
-    would pass t, and never past hi."""
+    whose f value stays inside the interval.  w walks the ruler: level 0
+    from a table of the positions lo, f(lo, x1), …, then at most one step
+    a level, so w⁻¹(t) replays the walk t's binary digits name, never past hi."""
     if f.arity != 2:
         raise TypeError("regraduation needs a binary rule")
     grid, call = _linspace(f.lo, f.hi, grid_size), _formula(f)
@@ -303,35 +317,36 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
     rulers = [anchor]
     while rulers[-1] - f.lo > RULER_END * max(1.0, f.hi - f.lo) and len(rulers) < 60:
         rulers.append(_bisect_diagonal(call, rulers[-1], f.lo, rulers[-1]))
+    finer = [(tick, 0.5 ** level) for level, tick in enumerate(rulers) if level]
+    edge = f.hi + DOMAIN_SLACK  # w's guard
+    level0 = [f.lo]  # the unit's multiples: at most 10,000, up to the reach of the largest x
+    while len(level0) <= 10_000 and level0[-1] < (step := call(level0[-1], anchor)) <= edge + STEP_SLACK:
+        level0.append(step)
+    below_hi = bisect_right(level0, f.hi, 1) - 1
+
+    def walk(count, reach, budget):
+        """From level-0 step count, one step a level in (position, reach] within budget."""
+        total, position = float(count), level0[count]
+        for tick, weight in finer:
+            if total + weight <= budget:
+                step = call(position, tick)
+                if position < step <= reach:
+                    total, position = total + weight, step
+        return total, position
 
     @lru_cache(maxsize=MEASURE_CACHE)
     def measure(x: float) -> float:
-        if x < f.lo - DOMAIN_SLACK or x > f.hi + DOMAIN_SLACK:
+        if x < f.lo - DOMAIN_SLACK or x > edge:
             raise DomainEscape(x)
-        total = 0.0
-        position = f.lo
-        for level, tick in enumerate(rulers):
-            weight = 0.5 ** level
-            for _ in range(10_000):
-                step = call(position, tick)
-                if step > x + STEP_SLACK or step <= position:
-                    break
-                position = step
-                total += weight
+        reach = x + STEP_SLACK
+        total, position = walk(bisect_right(level0, reach, 1) - 1, reach, math.inf)
+        if f.escapes(position):  # the walk left a sample rule's domain: it had no next step
+            raise DomainEscape(position)
         return total
 
     def unmeasure(t: float) -> float:
-        total = 0.0
-        position = f.lo
-        for level, tick in enumerate(rulers):
-            weight = 0.5 ** level
-            while total + weight <= t:
-                step = call(position, tick)
-                if step > f.hi or step <= position:
-                    break
-                position = step
-                total += weight
-        return position
+        count = below_hi if t >= below_hi else int(t) if t >= 0 else 0  # NaN counts 0
+        return walk(count, f.hi, t)[1]
 
     w = CoxFunction(
         arity=1, lo=f.lo, hi=f.hi, fn=measure, total=False,
@@ -341,7 +356,7 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
     for x in grid:
         for y in grid:
             value = call(x, y)
-            if value > f.hi + DOMAIN_SLACK:
+            if value > edge:
                 continue
             residual = max(residual, abs(measure(value) - measure(x) - measure(y)))
     if residual > RESIDUAL_LIMIT:

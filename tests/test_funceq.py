@@ -18,6 +18,7 @@ from qlprob.cli import main
 from qlprob.funceq import (
     CHECK_TOLERANCE,
     DOMAIN_SLACK,
+    GRID_SIZE,
     MEASURE_CACHE,
     RULER_END,
     STEP_SLACK,
@@ -412,3 +413,251 @@ def test_cox_default_tolerance_is_the_library_default(tmp_path, capsys):
         assert main(["cox", str(path), "involution"]) == (0 if report.passed else 1)
         assert report.passed is (e < CHECK_TOLERANCE)
         capsys.readouterr()
+
+
+# The ruler walk, its inverse, the diagonal bisection and the associativity
+# check against plain references: the walk as documented, and the code the
+# level-0 table, the one step a level, the early end and the table replaced.
+
+CSV_GRID = (0.0, 0.0995, 0.1065, 0.4663, 0.5073, 0.6321, 0.7302, 0.947, 1.0)  # sumprod.csv, gen --seed 7
+
+
+def _sampled(fn, xs):
+    return from_samples_binary([(x, y, fn(x, y)) for x in xs for y in xs])
+
+
+def _csv_sumprod():
+    """The sample rule of the numeric workload's sumprod.csv (bench/gen.py --seed 7)."""
+    return _sampled(lambda x, y: x + y + x * y, CSV_GRID)
+
+
+WALK_RULES = {"sumprod": builtin("sumprod"), "sum": builtin("sum"), "sumprod.csv": _csv_sumprod()}
+
+
+def _old_bisect_diagonal(f, target, lo, hi):
+    """_bisect_diagonal before its early end: always 80 halvings."""
+    a, b = lo, hi
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if f(mid, mid) < target:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _ruler(rule):
+    """The ticks regraduate walks with: the anchor, then halvings towards lo."""
+    ticks = [_linspace(rule.lo, rule.hi, GRID_SIZE)[1]]
+    while ticks[-1] - rule.lo > RULER_END * max(1.0, rule.hi - rule.lo) and len(ticks) < 60:
+        ticks.append(_old_bisect_diagonal(rule, ticks[-1], rule.lo, ticks[-1]))
+    return ticks
+
+
+def _ruler_walk(rule, ticks, x, finer_steps):
+    """The greedy ruler walk of x in plain Python: up to 10,000 steps at
+    level 0 and finer_steps at each level after it, each landing in
+    (position, x + STEP_SLACK].  Returns what w(x) gives, a float or
+    ("escape", value) for the DomainEscape it raises: at x outside the
+    domain, or, for a sample rule, at the first position past it, where
+    the rule's guard fires on the next step; then the end of the walk and
+    whether a level after 0 took two steps.  finer_steps=1 is w's walk
+    now; 10,000 is the walk w took before, which took steps while they fit."""
+    edge = rule.hi + DOMAIN_SLACK
+    if x < rule.lo - DOMAIN_SLACK or x > edge:
+        return ("escape", x), None, False
+    total, position, doubled, crossed = 0.0, rule.lo, False, None
+    for level, tick in enumerate(ticks):
+        for taken in range(10_000 if level == 0 else finer_steps):
+            step = float(rule.fn(position, tick))
+            if step > x + STEP_SLACK or step <= position:
+                break
+            position, total = step, total + 0.5 ** level
+            doubled |= level > 0 and taken == 1
+            if crossed is None and position > edge and not rule.total:
+                crossed = position
+    return (total if crossed is None else ("escape", crossed)), position, doubled
+
+
+def _outcome(w, x):
+    try:
+        return w(x)
+    except DomainEscape as err:
+        return ("escape", err.x)
+
+
+@pytest.mark.parametrize("name", WALK_RULES)
+def test_inverse_replays_the_walk_of_w(name):
+    """w⁻¹(w(x)) is the end of the walk that measured x, so it never lies
+    past x + STEP_SLACK, where the walk stops.  The walk once took two
+    steps at a level where the replay took one at the level above, and
+    for sumprod ended past that at some x."""
+    rule = WALK_RULES[name]
+    result, ticks = regraduate(rule), _ruler(rule)
+    for x in np.random.default_rng(1).uniform(rule.lo, rule.hi, 2000).tolist():
+        expected, end, _ = _ruler_walk(rule, ticks, x, 1)
+        back = result.inverse(result.w(x))
+        assert back <= x + STEP_SLACK, x
+        assert (result.w(x), back) == (expected, end), x
+
+
+@pytest.mark.parametrize("name", WALK_RULES)
+def test_w_is_the_old_walk_but_where_it_took_two_steps_at_a_level(name):
+    """Against the walk w took before, w agrees bit for bit wherever that
+    walk took at most one step at each level after level 0, and by 2.3e-13
+    where it took two (one step a level then goes on at finer levels)."""
+    rule = WALK_RULES[name]
+    w, ticks = regraduate(rule).w, _ruler(rule)
+    doubled_at = []
+    for x in np.random.default_rng(2).uniform(rule.lo, rule.hi, 2000).tolist():
+        old, _, doubled = _ruler_walk(rule, ticks, x, 10_000)
+        if doubled:
+            doubled_at.append(x)
+            assert abs(w(x) - old) <= 2.3e-13, x
+        else:
+            assert w(x) == old, x
+    assert (len(doubled_at) > 0) is (name != "sum")  # sum's ticks halve exactly
+
+
+@pytest.mark.parametrize("name", WALK_RULES)
+def test_bisect_diagonal_ends_early_on_the_same_float(name):
+    rule = WALK_RULES[name]
+    rng = np.random.default_rng(3)
+    for hi in (rule.hi, _ruler(rule)[0], 1e-9):
+        for target in rng.uniform(rule.lo, hi, 50).tolist() + [rule.lo, hi]:
+            assert bits(funceq._bisect_diagonal(rule, target, rule.lo, hi)) == \
+                bits(_old_bisect_diagonal(rule, target, rule.lo, hi))
+
+
+# Sample rules on [0, h] whose walk reaches past hi + DOMAIN_SLACK at some x
+# within STEP_SLACK below that edge; on [0, 1.0936] the old walk got there
+# by taking two steps at one level.
+EDGE_RULES = {"sumprod.csv": _csv_sumprod(),
+              "sum on [0, 0.9452]": _sampled(lambda x, y: x + y, [0.9452 * k / 8 for k in range(9)]),
+              "x + y + xy/2 on [0, 0.9081]": _sampled(lambda x, y: x + y + x * y / 2,
+                                                      [0.9081 * k / 8 for k in range(9)]),
+              "x + y + xy/2 on [0, 1.0936]": _sampled(lambda x, y: x + y + x * y / 2,
+                                                      [1.0936 * k / 8 for k in range(9)])}
+
+
+@pytest.mark.parametrize("name", EDGE_RULES)
+def test_w_refuses_where_its_walk_passes_the_domain(name):
+    """Near hi + DOMAIN_SLACK, w of a sample rule raises DomainEscape at
+    the first position its walk puts past that edge, which is where the
+    old walk raised too, unless the old walk took two steps at a level
+    there; just past the edge w refuses x itself."""
+    rule = EDGE_RULES[name]
+    w, ticks = regraduate(rule).w, _ruler(rule)
+    edge = rule.hi + DOMAIN_SLACK
+    below = [edge]  # every float within STEP_SLACK below the edge, and one more
+    while edge - below[-1] < STEP_SLACK:
+        below.append(math.nextafter(below[-1], -math.inf))
+    xs = [math.nextafter(edge, math.inf), *below, edge - 4 * STEP_SLACK]
+    found = []
+    for x in xs:
+        expected, _, _ = _ruler_walk(rule, ticks, x, 1)
+        old, _, doubled = _ruler_walk(rule, ticks, x, 10_000)
+        found.append(_outcome(w, x))
+        assert found[-1] == expected, x
+        assert found[-1] == old or doubled, x
+    assert found[0] == ("escape", xs[0]) and not isinstance(found[-1], tuple)
+    assert any(isinstance(f, tuple) for f in found[1:]) is (name != "sumprod.csv")
+
+
+def _old_unmeasure(rule, ticks, t):
+    """w⁻¹ before the level-0 table: at each level, steps while the weight
+    stays within t and the position within hi."""
+    total, position = 0.0, rule.lo
+    for level, tick in enumerate(ticks):
+        weight = 0.5 ** level
+        while total + weight <= t:
+            step = rule(position, tick)
+            if step > rule.hi or step <= position:
+                break
+            position, total = step, total + weight
+    return position
+
+
+@pytest.mark.parametrize("name", {**WALK_RULES, **EDGE_RULES})
+def test_inverse_keeps_its_ends(name):
+    """w⁻¹ at 0, below 0, at NaN, at +inf and just past w(hi) is what it
+    was: lo for the first three, and the walk to hi for the others."""
+    rule = {**WALK_RULES, **EDGE_RULES}[name]
+    result, ticks = regraduate(rule), _ruler(rule)
+    top = result.w(rule.hi)
+    for t in (0.0, -0.5, -math.inf, math.nan, math.inf, top + TOP_SLACK):
+        assert bits(result.inverse(t)) == bits(_old_unmeasure(rule, ticks, t)), t
+    assert result.inverse(math.nan) == result.inverse(-1.0) == rule.lo
+
+
+def test_level_zero_stops_after_10000_steps():
+    """A rule additive under expm1(9x) needs about 24,900 anchor steps to
+    reach hi.  The walk stops after 10,000 at level 0, so w levels off
+    below 10,001 (one step a level after it adds less than 1), and two
+    points past the bound leave a residual of about 10^4.  (The walk that
+    stepped on up to 10,000 times at every level left 4.940e+03.)"""
+    rule = CoxFunction(arity=2, lo=0.0, hi=1.0, label="log-sum-exp",
+                       fn=lambda x, y: math.log1p(math.expm1(9 * x) + math.expm1(9 * y)) / 9)
+    with pytest.raises(NotRegraduable) as err:
+        regraduate(rule)
+    assert str(err.value) == "residual-too-large: 1.000e+04"
+
+
+def _old_associativity(f, grid_size=GRID_SIZE):
+    """check_associativity before its table: f(x, y), then f(xy, z), f(y, z)
+    and f(x, yz) for each z, every call guarded."""
+    grid = _linspace(f.lo, f.hi, grid_size)
+    worst, worst_triple, evaluated, skipped = -1.0, None, 0, 0
+    for x in grid:
+        for y in grid:
+            try:
+                xy = f(x, y)
+            except DomainEscape:
+                skipped += len(grid)
+                continue
+            for z in grid:
+                try:
+                    lhs = f(xy, z)
+                    rhs = f(x, f(y, z))
+                except DomainEscape:
+                    skipped += 1
+                    continue
+                evaluated += 1
+                if abs(lhs - rhs) > worst:
+                    worst, worst_triple = abs(lhs - rhs), (x, y, z)
+    if skipped > evaluated:
+        raise TooManySkips(skipped, evaluated)
+    return max(worst, 0.0), worst_triple, evaluated, skipped
+
+
+def _hypot_samples():
+    grid = [k / 4 for k in range(9)]
+    return _sampled(lambda x, y: (x * x + y * y) ** 0.5, grid)
+
+
+def _wide_conjugate():
+    """The sumprod conjugate's formula on all of [0, 1], where it refuses
+    w-sums past w(1) by itself, though it is total."""
+    rule = additive_conjugate(regraduate(builtin("sumprod")))
+    return CoxFunction(arity=2, lo=0.0, hi=1.0, fn=rule.fn, label="wide conjugate")
+
+
+@pytest.mark.parametrize("make, grid_size", [
+    (lambda: builtin("sum"), GRID_SIZE), (lambda: builtin("sumprod"), GRID_SIZE),
+    (lambda: builtin("max"), GRID_SIZE), (_hypot_samples, 9), (_csv_sumprod, GRID_SIZE),
+    (lambda: additive_conjugate(regraduate(builtin("sumprod"))), 9), (_wide_conjugate, 9),
+    (lambda: CoxFunction(arity=2, lo=0.0, hi=1.0, fn=lambda x, y: x + y * y), 9),
+    (lambda: _sampled(lambda x, y: x + y + x * y / 2, [k / 4 for k in range(9)]), 9),
+])
+def test_associativity_table_reports_what_the_triple_loop_did(make, grid_size):
+    """Field by field, and TooManySkips with the same counts."""
+    rule = make()
+    try:
+        expected = _old_associativity(rule, grid_size)
+    except TooManySkips as err:
+        with pytest.raises(TooManySkips) as found:
+            check_associativity(rule, grid_size=grid_size)
+        assert (found.value.skipped, found.value.evaluated) == (err.skipped, err.evaluated)
+    else:
+        report = check_associativity(rule, grid_size=grid_size)
+        assert (report.max_residual, report.worst_triple, report.evaluated, report.skipped) == expected
