@@ -4,8 +4,8 @@ projector-lattice and combination-rule pipelines.
 
 Every command prints one JSON document to standard output (always with
 "schema": 1, even on failure) and signals through its exit code:
-0 success, 1 semantic failure (infeasible, check failed, cap), 2 bad
-usage or malformed input.
+0 success, 1 semantic failure (a failed check, or a core.Refusal such as
+Infeasible or CapExceeded), 2 bad usage or malformed input; main maps errors to both.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .core import CapExceeded, LatticeError, OrthoLattice
+from .core import LatticeError, OrthoLattice, Refusal
 from .io import (
     ParseError,
     document_from_lattice,
@@ -111,28 +111,25 @@ def cmd_states(args) -> int:
         return 2
     name, obj = source
     payload = {"source": name, "mode": args.mode}
-    try:
-        if args.mode == "relations":
-            relations = states.implied_affine_relations(obj)
-            payload["atoms"] = [obj.names[a] for a in obj.atoms]
-            payload["relations"] = [
-                {
-                    "display": rel.display(),
-                    "coeffs": dict(zip(rel.atoms, rel.coeffs)),
-                    "rhs": rel.rhs,
-                }
-                for rel in relations
-            ]
-        elif args.mode == "extremes":
-            vertices = states.extreme_states(obj, cap=args.cap)
-            payload["count"] = len(vertices)
-            payload["vertices"] = [v.as_dict() for v in vertices]
-        else:
-            valuation = states.find_state(obj)
-            payload["valuation"] = valuation.as_dict()
-            payload["verified"] = states.is_state(obj, valuation).passed
-    except states.Infeasible as err:
-        return _failure(err, 1)
+    if args.mode == "relations":
+        relations = states.implied_affine_relations(obj)
+        payload["atoms"] = [obj.names[a] for a in obj.atoms]
+        payload["relations"] = [
+            {
+                "display": rel.display(),
+                "coeffs": dict(zip(rel.atoms, rel.coeffs)),
+                "rhs": rel.rhs,
+            }
+            for rel in relations
+        ]
+    elif args.mode == "extremes":
+        vertices = states.extreme_states(obj, cap=args.cap)
+        payload["count"] = len(vertices)
+        payload["vertices"] = [v.as_dict() for v in vertices]
+    else:
+        valuation = states.find_state(obj)
+        payload["valuation"] = valuation.as_dict()
+        payload["verified"] = states.is_state(obj, valuation).passed
     _emit(payload)
     return 0
 
@@ -149,11 +146,7 @@ def cmd_check(args) -> int:
     entries = vdoc.entries
     if args.float:
         entries = tuple((k, float(v)) for k, v in entries)
-    try:
-        valuation = states.valuation_from_document(obj, entries)
-    except states.DomainMismatch as err:
-        return _failure(err, 2)
-    report = states.is_state(obj, valuation, args.tolerance)
+    report = states.is_state(obj, states.valuation_from_document(obj, entries), args.tolerance)
     _emit({
         "source": name,
         "valuation": args.valuation,
@@ -217,17 +210,12 @@ def cmd_hilbert(args) -> int:
     from .classify import classify
     tolerance = args.tolerance if args.tolerance is not None else hilbert.EQUALITY_TOL
     scans = {"ie": states.inclusion_exclusion_scan, "subadd": states.subadditivity_scan}
-    try:
-        seeds = _load_seeds(args.seeds)
-        d = seeds[0].d
-        ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap)
-        rho = _load_rho(args.rho, d, args.seed)
-        valuation = hilbert.born_valuation(rho, ortho, embedding)
-        hits = scans[args.scan](ortho, valuation, tolerance) if args.scan else None
-    except hilbert.DimensionMismatch as err:
-        return _failure(err, 2)
-    except (hilbert.NumericalBreakdown, states.NotAState) as err:
-        return _failure(err, 1)
+    seeds = _load_seeds(args.seeds)
+    d = seeds[0].d
+    ortho, embedding = hilbert.generate_sublattice(seeds, cap=args.cap)
+    rho = _load_rho(args.rho, d, args.seed)
+    valuation = hilbert.born_valuation(rho, ortho, embedding)
+    hits = scans[args.scan](ortho, valuation, tolerance) if args.scan else None
     if args.scan:  # the scan raised NotAState unless its own is_state passed
         state_check = {"passed": True, "violations": 0}
     else:
@@ -302,27 +290,24 @@ def _load_rule(spec: str, want_arity: int) -> funceq.CoxFunction:
 def cmd_cox(args) -> int:
     from . import funceq
     tolerance = args.tolerance if args.tolerance is not None else funceq.CHECK_TOLERANCE
-    try:
-        rule = _load_rule(args.rule, 1 if args.check == "involution" else 2)
-        if args.check == "involution":
-            found = funceq.check_involution(rule, tolerance=tolerance)
-            report = {"passed": found.passed, "max_residual": found.max_residual,
-                      "worst_x": found.worst_x, "identity": found.identity}
-        elif args.check == "assoc":
-            found = funceq.check_associativity(rule, tolerance=tolerance)
-            report = {"passed": found.passed, "max_residual": found.max_residual,
-                      "worst_triple": list(found.worst_triple) if found.worst_triple else None,
-                      "evaluated": found.evaluated, "skipped": found.skipped}
+    rule = _load_rule(args.rule, 1 if args.check == "involution" else 2)
+    if args.check == "involution":
+        found = funceq.check_involution(rule, tolerance=tolerance)
+        report = {"passed": found.passed, "max_residual": found.max_residual,
+                  "worst_x": found.worst_x, "identity": found.identity}
+    elif args.check == "assoc":
+        found = funceq.check_associativity(rule, tolerance=tolerance)
+        report = {"passed": found.passed, "max_residual": found.max_residual,
+                  "worst_triple": list(found.worst_triple) if found.worst_triple else None,
+                  "evaluated": found.evaluated, "skipped": found.skipped}
+    else:
+        try:
+            found = funceq.regraduate(rule)
+        except funceq.NotRegraduable as err:  # a verdict, reported as one
+            report = {"passed": False, "reason": err.reason}
         else:
-            try:
-                found = funceq.regraduate(rule)
-            except funceq.NotRegraduable as err:
-                report = {"passed": False, "reason": err.reason}
-            else:
-                report = {"passed": True, "max_residual": found.max_residual, "anchor": found.anchor,
-                          "table": [{"x": x, "w": w} for x, w in zip(found.grid, found.values)]}
-    except (funceq.TooManySkips, funceq.DomainEscape) as err:
-        return _failure(err, 1)
+            report = {"passed": True, "max_residual": found.max_residual, "anchor": found.anchor,
+                      "table": [{"x": x, "w": w} for x, w in zip(found.grid, found.values)]}
     _emit({"rule": args.rule, "check": args.check, **report})
     return 0 if report["passed"] else 1
 
@@ -393,10 +378,9 @@ def main(argv=None) -> int:
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
             raise ValueError(f"--tolerance must be a finite number at least 0, not {tolerance}")
         return args.run(args)
-    except CapExceeded as err:
+    except Refusal as err:  # well-formed input that has no answer
         return _failure(err, 1)
-    except (ParseError, SourceError, LatticeError, json.JSONDecodeError, OSError, ValueError,
-            TypeError) as err:
+    except (ParseError, SourceError, LatticeError, OSError, ValueError, TypeError) as err:
         return _failure(err, 2)
 
 

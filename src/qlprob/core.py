@@ -41,7 +41,11 @@ class NotBounded(LatticeError):
     pass
 
 
-class CapExceeded(LatticeError):
+class Refusal(Exception):
+    """Well-formed input that has no answer: the CLI exits 1 on this family."""
+
+
+class CapExceeded(LatticeError, Refusal):
     """A configured size cap was exceeded; carries partial results when any."""
 
     def __init__(self, message, partial=None):
@@ -439,11 +443,12 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
     violating instance of the first failing axiom.
     """
     neg = _build_negation(lattice.poset, neg_pairs)
-    bad_join = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
-    bad_meet = [a for a in range(lattice.n) if lattice.meet(a, neg[a]) != lattice.bottom]
-    if bad_join or bad_meet:
-        witnesses = [(lattice.names[a], "a v neg(a) != top") for a in bad_join]
-        witnesses += [(lattice.names[a], "a ^ neg(a) != bottom") for a in bad_meet]
+    # neg is an order-reversing involution by now, so a ^ neg(a) = neg(a v neg(a)):
+    # the meet law fails at exactly the elements where the join law does
+    bad = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
+    if bad:
+        witnesses = [(lattice.names[a], "a v neg(a) != top") for a in bad]
+        witnesses += [(lattice.names[a], "a ^ neg(a) != bottom") for a in bad]
         raise ComplementLawFails(witnesses)
     return OrthoLattice(
         poset=lattice.poset,

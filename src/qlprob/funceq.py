@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Callable
 
-from .core import Record
+from .core import Record, Refusal
 
 # Float tolerances, each an absolute bound on one kind of difference (README).
 DOMAIN_SLACK = 1e-12  # a point this far outside [lo, hi] is inside
@@ -41,13 +41,13 @@ MEASURE_CACHE = 1024  # w values kept; regraduate uses 198–252, its conjugate'
 GRID_SIZE = 33  # points per axis of the involution, associativity and regraduation grids
 
 
-class DomainEscape(Exception):
+class DomainEscape(Refusal):
     def __init__(self, x):
         self.x = x
         super().__init__(f"value {x} escapes the declared domain")
 
 
-class TooManySkips(Exception):
+class TooManySkips(Refusal):
     def __init__(self, skipped: int, evaluated: int):
         self.skipped = skipped
         self.evaluated = evaluated
@@ -83,9 +83,13 @@ class CoxFunction(Record):
             raise DomainEscape(a)
         return float(self.fn(*args))
 
+    def outside(self, a: float) -> bool:
+        """Whether a lies outside [lo, hi] by more than DOMAIN_SLACK; a NaN does."""
+        return not self.lo - DOMAIN_SLACK <= a <= self.hi + DOMAIN_SLACK
+
     def escapes(self, a: float) -> bool:
         """Whether the guard refuses a: never for a total rule."""
-        return not self.total and (a < self.lo - DOMAIN_SLACK or a > self.hi + DOMAIN_SLACK)
+        return not self.total and self.outside(a)
 
 
 _BUILTINS: dict[str, tuple[int, Callable]] = {
@@ -190,7 +194,7 @@ def check_involution(g: CoxFunction, tolerance: float = CHECK_TOLERANCE) -> Invo
     identity_gap = 0.0
     for x in grid:
         gx = g(x)
-        if gx < g.lo - DOMAIN_SLACK or gx > g.hi + DOMAIN_SLACK:
+        if g.outside(gx):
             raise DomainEscape(x)
         residual = abs(g(gx) - x)
         identity_gap = max(identity_gap, abs(gx - x))
@@ -301,24 +305,21 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
     if f.arity != 2:
         raise TypeError("regraduation needs a binary rule")
     grid, call = _linspace(f.lo, f.hi, grid_size), _formula(f)
-    for y in grid:
-        along_x = [call(x, y) for x in grid]
-        along_y = [call(y, x) for x in grid]
-        for series in (along_x, along_y):
+    table = [[call(x, y) for y in grid] for x in grid]  # f at every grid pair, once
+    for j, y in enumerate(grid):
+        for series in ([row[j] for row in table], table[j]):  # f(·, y), then f(y, ·)
             k = min(range(len(grid) - 1), key=lambda k: series[k + 1] - series[k])  # first minimum
             if series[k + 1] - series[k] <= 0:
                 raise NotRegraduable("non-monotone", f"flat or decreasing near ({grid[k]:g}, {y:g})")
-    if abs(f(f.lo, f.lo) - f.lo) > ZERO_SLACK:
-        raise NotRegraduable(
-            "no-additive-zero", f"f({f.lo:g}, {f.lo:g}) = {f(f.lo, f.lo):g}"
-        )
+    if abs(table[0][0] - f.lo) > ZERO_SLACK:  # f(lo, lo)
+        raise NotRegraduable("no-additive-zero", f"f({f.lo:g}, {f.lo:g}) = {table[0][0]:g}")
 
     anchor = grid[1]
     rulers = [anchor]
     while rulers[-1] - f.lo > RULER_END * max(1.0, f.hi - f.lo) and len(rulers) < 60:
         rulers.append(_bisect_diagonal(call, rulers[-1], f.lo, rulers[-1]))
     finer = [(tick, 0.5 ** level) for level, tick in enumerate(rulers) if level]
-    edge = f.hi + DOMAIN_SLACK  # w's guard
+    edge = f.hi + DOMAIN_SLACK  # the top of w's domain
     level0 = [f.lo]  # the unit's multiples: at most 10,000, up to the reach of the largest x
     while len(level0) <= 10_000 and level0[-1] < (step := call(level0[-1], anchor)) <= edge + STEP_SLACK:
         level0.append(step)
@@ -336,7 +337,7 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
 
     @lru_cache(maxsize=MEASURE_CACHE)
     def measure(x: float) -> float:
-        if x < f.lo - DOMAIN_SLACK or x > edge:
+        if f.outside(x):  # w's guard, on f's interval
             raise DomainEscape(x)
         reach = x + STEP_SLACK
         total, position = walk(bisect_right(level0, reach, 1) - 1, reach, math.inf)
@@ -353,9 +354,8 @@ def regraduate(f: CoxFunction, grid_size: int = GRID_SIZE) -> RegraduationResult
         label=f"regraduation of {f.label or 'rule'}",
     )
     residual = 0.0
-    for x in grid:
-        for y in grid:
-            value = call(x, y)
+    for x, row in zip(grid, table):
+        for y, value in zip(grid, row):
             if value > edge:
                 continue
             residual = max(residual, abs(measure(value) - measure(x) - measure(y)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
-from .core import CapExceeded, OrthoLattice, Record, attach_ortho, build_poset, lattice_check
+from .core import CapExceeded, OrthoLattice, Record, Refusal, attach_ortho, build_poset, lattice_check
 from .states import Valuation
 
 import numpy as np  # last: qlprob's modules compiled after numpy raise the peak RSS
@@ -29,11 +29,11 @@ MAX_DIMENSION = 8
 PAIR_CHUNK = 64  # closure pairs joined per batch of stacked SVDs; bounds the batch's memory
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     pass
 
 
-class NumericalBreakdown(Exception):
+class NumericalBreakdown(Refusal):
     pass
 
 
@@ -153,6 +153,8 @@ class DensityMatrix(Record):
         _check_dimension(m.shape[0])
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
+        if not np.isfinite(m).all():  # first: a NaN would pass each test below
+            raise ValueError("density matrix has a NaN or infinite entry")
         if np.linalg.norm(m - m.conj().T) >= DENSITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         eigenvalues = np.linalg.eigvalsh(m)
@@ -173,6 +175,8 @@ def max_mixed(d: int) -> DensityMatrix:
 
 def pure(vector) -> DensityMatrix:
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("pure state vector has a NaN or infinite entry")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("pure state vector must be nonzero")
@@ -193,7 +197,7 @@ def born(rho: DensityMatrix, subspace: Subspace) -> float:
     if rho.d != subspace.d:
         raise DimensionMismatch(f"{rho.d} vs {subspace.d}")
     value = float(np.trace(rho.matrix @ subspace.projector()).real)
-    if value < -BORN_SLACK or value > 1 + BORN_SLACK:
+    if not -BORN_SLACK <= value <= 1 + BORN_SLACK:  # a NaN is outside too
         raise NumericalBreakdown(f"trace value {value} outside the unit interval")
     return min(1.0, max(0.0, value))
 

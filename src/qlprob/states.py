@@ -28,7 +28,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import CapExceeded, OrthoLattice, Record, _bits
+from .core import CapExceeded, OrthoLattice, Record, Refusal, _bits
 from .classify import iter_blocks, require_orthomodular
 
 FLOAT_TOLERANCE = 1e-9
@@ -38,7 +38,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 ENUMERATION_BUDGET = 1024
 
 
-class Infeasible(Exception):
+class Infeasible(Refusal):
     """The constraint system admits no solution.
 
     certificate, when present, maps row labels to rational multipliers
@@ -51,11 +51,11 @@ class Infeasible(Exception):
         super().__init__(message)
 
 
-class DomainMismatch(Exception):
+class DomainMismatch(ValueError):
     pass
 
 
-class NotAState(Exception):
+class NotAState(Refusal):
     def __init__(self, report: "StateCheckReport"):
         self.report = report
         super().__init__("valuation fails the state constraints")
@@ -193,7 +193,7 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
     values, names, bottom, top = valuation.values, ortho.names, ortho.bottom, ortho.top
     violations: list[Violation] = []
     for i, v in enumerate(values):
-        if v < -tolerance or v > 1 + tolerance:
+        if not -tolerance <= v <= 1 + tolerance:  # a NaN is out of range too
             violations.append(Violation("range", (names[i],), -v if v < 0 else v - 1))
     plus, minus = [_ONE * v for v in values], [-_ONE * v for v in values]
     rows = [("bottom", (bottom,), (plus[bottom],), _ZERO), ("top", (top,), (plus[top],), _ONE)]
@@ -461,52 +461,47 @@ class PairDefect(Record):
     strict_decomposition: bool | None = None
 
 
-def _checked(ortho, valuation, tolerance):
+def _pair_scan(ortho: OrthoLattice, valuation: Valuation, tolerance, defect) -> list[PairDefect]:
+    """A PairDefect for each pair a < b where defect(values, a, b,
+    tolerance) returns its fields after the pair, once is_state passed
+    at the resolved tolerance; NotAState otherwise."""
+    tolerance = _tolerance(valuation, tolerance)
     report = is_state(ortho, valuation, tolerance)
     if not report.passed:
         raise NotAState(report)
+    values, names, out = valuation.values, ortho.names, []
+    for a in range(ortho.n):
+        for b in range(a + 1, ortho.n):
+            if hit := defect(values, a, b, tolerance):
+                out.append(PairDefect((names[a], names[b]), *hit))
+    return out
 
 
-def inclusion_exclusion_scan(
-    ortho: OrthoLattice, valuation: Valuation, tolerance=None
-) -> list[PairDefect]:
+def inclusion_exclusion_scan(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> list[PairDefect]:
     """Pairs where s(a)+s(b) − s(a∧b) − s(a∨b) is nonzero beyond
     tolerance.  Each hit records whether (a∧b)∨(a∧¬b) sits strictly
     below a, the lattice-side mechanism behind the defect."""
-    tolerance = _tolerance(valuation, tolerance)
-    _checked(ortho, valuation, tolerance)
-    values = valuation.values
-    out = []
-    for a in range(ortho.n):
-        for b in range(a + 1, ortho.n):
-            meet = ortho.meet(a, b)
-            join = ortho.join(a, b)
-            defect = values[a] + values[b] - values[meet] - values[join]
-            if abs(defect) > tolerance:
-                rebuilt = ortho.join(meet, ortho.meet(a, ortho.neg[b]))
-                strict = rebuilt != a
-                out.append(
-                    PairDefect(
-                        (ortho.names[a], ortho.names[b]), defect, strict
-                    )
-                )
-    return out
+    meets, joins, neg = ortho.meet_table, ortho.join_table, ortho.neg
+
+    def defect(values, a, b, tolerance):
+        meet = meets[a][b]
+        d = values[a] + values[b] - values[meet] - values[joins[a][b]]
+        if abs(d) > tolerance:
+            return d, joins[meet][meets[a][neg[b]]] != a
+
+    return _pair_scan(ortho, valuation, tolerance, defect)
 
 
-def subadditivity_scan(
-    ortho: OrthoLattice, valuation: Valuation, tolerance=None
-) -> list[PairDefect]:
+def subadditivity_scan(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> list[PairDefect]:
     """Pairs with s(a∨b) > s(a) + s(b) beyond tolerance."""
-    tolerance = _tolerance(valuation, tolerance)
-    _checked(ortho, valuation, tolerance)
-    values = valuation.values
-    out = []
-    for a in range(ortho.n):
-        for b in range(a + 1, ortho.n):
-            defect = values[ortho.join(a, b)] - values[a] - values[b]
-            if defect > tolerance:
-                out.append(PairDefect((ortho.names[a], ortho.names[b]), defect))
-    return out
+    joins = ortho.join_table
+
+    def defect(values, a, b, tolerance):
+        d = values[joins[a][b]] - values[a] - values[b]
+        if d > tolerance:
+            return (d,)
+
+    return _pair_scan(ortho, valuation, tolerance, defect)
 
 
 def sample_states(ortho: OrthoLattice, count: int, seed: int = 0) -> list[Valuation]:

@@ -5,7 +5,9 @@ bounded posets that are mostly not lattices, each declared both in
 shuffled order and in a linear extension; and the order that
 build_poset closes, its cycle and bound reports and the order-reversal
 check of a negation, against the dense-matrix code they replaced; and
-the state polytope's vertices against the basis enumeration; and
+attach_ortho's one complement-law scan against the join and meet scans
+it replaced, on self-dual sums with random order-reversing involutions;
+and the state polytope's vertices against the basis enumeration; and
 is_state against the full additivity system it used to build.
 
 The references are the bound search and the triple scans as they were
@@ -38,11 +40,13 @@ from qlprob.classify import (
 )
 from qlprob.cli import load_source
 from qlprob.core import (
+    ComplementLawFails,
     CycleDetected,
     NotALattice,
     NotBounded,
     NotOrderReversing,
     _build_negation,
+    attach_ortho,
     build_poset,
     extremal,
     lattice_check,
@@ -445,6 +449,72 @@ def test_negation_reversal_agrees_with_the_all_pairs_check(case):
         assert list(got.value.witnesses) == want
     else:
         assert _build_negation(poset, pairs) == tuple(neg)
+
+
+@st.composite
+def self_dual_sums(draw):
+    """A horizontal sum of one to three self-dual lattices, with the
+    order-reversing involution that acts on each: a lattice of the
+    strategies above stacked under its dual, the involution swapping the
+    two copies, or a Boolean lattice 2^k with the set complement.  Returns
+    (poset, pairs), the elements shuffled.  The complement laws fail in a
+    stack everywhere but its bounds and hold in a Boolean block, so the
+    sums fail them nowhere, everywhere or in part."""
+    parts = []  # (members, le, neg, bottom, top) of each summand
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            base = draw(st.one_of(union_closed(), dedekind_macneille(), glued()))
+            members = [(h, x) for h in (0, 1) for x in range(base.n)]
+
+            def le(p, q, base=base):  # the copy (0, x) below the dual copy (1, x)
+                if p[0] != q[0]:
+                    return p[0] < q[0]
+                return base.le(p[1], q[1]) if p[0] == 0 else base.le(q[1], p[1])
+
+            parts.append((members, le, lambda p: (1 - p[0], p[1]), (0, base.bottom), (1, base.bottom)))
+        else:
+            full = (1 << draw(st.integers(1, 3))) - 1
+            parts.append((list(range(full + 1)), _subset, lambda s, full=full: s ^ full, 0, full))
+    elements = ["bottom", "top"] + [(i, m) for i, (members, _, _, bottom, top) in enumerate(parts)
+                                    for m in members if m not in (bottom, top)]
+
+    def le(p, q):
+        return p == "bottom" or q == "top" or (
+            p != "top" and q != "bottom" and p[0] == q[0] and parts[p[0]][1](p[1], q[1]))
+
+    def neg(p):
+        return {"bottom": "top", "top": "bottom"}.get(p) or (p[0], parts[p[0]][2](p[1]))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    elements = [elements[i] for i in rng.permutation(len(elements))]
+    names = {e: f"e{i}" for i, e in enumerate(elements)}
+    poset = build_poset(list(names.values()), [(names[p], names[q]) for p in elements
+                                               for q in elements if p != q and le(p, q)])
+    return poset, [(names[e], names[neg(e)]) for e in elements]
+
+
+def reference_complement_laws(lattice, pairs):
+    """attach_ortho's negation, or its ComplementLawFails witnesses, from
+    the separate join and meet scans it ran before one scan sufficed."""
+    neg = _build_negation(lattice.poset, pairs)
+    bad_join = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
+    bad_meet = [a for a in range(lattice.n) if lattice.meet(a, neg[a]) != lattice.bottom]
+    if bad_join or bad_meet:
+        witnesses = [(lattice.names[a], "a v neg(a) != top") for a in bad_join]
+        return witnesses + [(lattice.names[a], "a ^ neg(a) != bottom") for a in bad_meet]
+    return neg
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=self_dual_sums())
+def test_one_complement_law_scan_agrees_with_both(case):
+    poset, pairs = case
+    lattice = lattice_check(poset)
+    try:
+        got = attach_ortho(lattice, pairs).neg
+    except ComplementLawFails as err:
+        got = list(err.witnesses)
+    assert got == reference_complement_laws(lattice, pairs)
 
 
 def reference_vertices(ortho):

@@ -661,3 +661,65 @@ def test_associativity_table_reports_what_the_triple_loop_did(make, grid_size):
     else:
         report = check_associativity(rule, grid_size=grid_size)
         assert (report.max_residual, report.worst_triple, report.evaluated, report.skipped) == expected
+
+
+# One domain test, CoxFunction.outside, under the guard, the involution's
+# range test and w's guard: a NaN lies outside, as it fails every bound.
+
+def test_outside_holds_nan_and_the_slack():
+    rule = builtin("sumprod")
+    assert rule.outside(math.nan) and rule.outside(1 + 2 * DOMAIN_SLACK)
+    assert not rule.outside(1 + DOMAIN_SLACK / 2) and not rule.outside(-DOMAIN_SLACK / 2)
+    assert not rule.escapes(math.nan)  # a total rule's guard refuses nothing
+
+
+def test_w_of_nan_escapes():
+    """w(nan) read 22.0, the whole level-0 table, before NaN lay outside."""
+    with pytest.raises(DomainEscape):
+        regraduate(builtin("sumprod")).w(math.nan)
+
+
+def test_sample_rule_called_with_nan_escapes():
+    with pytest.raises(DomainEscape):
+        from_samples_unary([(0, 1), (1, 0)])(math.nan)
+    with pytest.raises(DomainEscape):
+        _csv_sumprod()(0.5, math.nan)
+
+
+def test_involution_of_a_rule_that_returns_nan_escapes():
+    """A total rule's NaN value is outside the interval, so the check
+    refuses it instead of skipping the point in silence."""
+    rule = CoxFunction(arity=1, lo=0.0, hi=1.0, fn=lambda x: math.nan if x == 0.5 else 1 - x)
+    with pytest.raises(DomainEscape) as err:
+        check_involution(rule)
+    assert err.value.x == 0.5
+
+
+def _counted(rule):
+    """rule with a formula that records each call's arguments."""
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return rule.fn(*args)
+
+    return CoxFunction(arity=rule.arity, lo=rule.lo, hi=rule.hi, fn=fn, total=rule.total,
+                       label=rule.label), calls
+
+
+@pytest.mark.parametrize("make, total", [(lambda: builtin("sumprod"), 11_695), (_csv_sumprod, 13_963)])
+def test_regraduation_reads_the_grid_once(make, total):
+    """One grid × grid table serves the monotonicity scan, the additive
+    zero and the residual loop: each grid pair is called once, and only
+    the level-0 walk's first two steps, f(lo, x1) and f(x1, x1), land on
+    grid pairs again.  Three passes over the grid and a call of f(lo, lo)
+    apart made 3,270 calls at grid pairs (16,142 in all for the sample
+    rule, 13,874 for sumprod)."""
+    rule, calls = _counted(make())
+    result = regraduate(rule)
+    assert len(calls) == total
+    grid = result.grid
+    on_grid = [args for args in calls if set(args) <= set(grid)]
+    assert len(on_grid) == GRID_SIZE ** 2 + 2
+    assert set(on_grid) == {(x, y) for x in grid for y in grid}
+    assert on_grid.count(grid[:2]) == on_grid.count((grid[1], grid[1])) == 2

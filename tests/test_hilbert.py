@@ -108,6 +108,26 @@ def test_density_validation():
         pure([0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)])
+def test_non_finite_density_is_refused(bad):
+    """A NaN passes every bound test that DensityMatrix writes as a
+    refusal beyond DENSITY_TOL, and born clamped the NaN trace to 0, so
+    non-finite entries are refused first, in a vector or a matrix."""
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        pure([bad, 1])
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        DensityMatrix(np.array([[0.5, 0], [0, bad]], dtype=complex))
+
+
+@pytest.mark.parametrize("rho", ["pure:(nan,1)", "pure:(inf,1)", "matrix"])
+def test_cli_refuses_a_non_finite_density(rho, tmp_path, capsys):
+    seeds, matrix = tmp_path / "d2.json", tmp_path / "rho.json"
+    seeds.write_text("[[1, 0], [0.6, 0.8]]")
+    matrix.write_text("[[0.5, 0], [0, NaN]]")
+    code = main(["hilbert", str(seeds), "--rho", str(matrix) if rho == "matrix" else rho])
+    assert (code, json.loads(capsys.readouterr().out)["kind"]) == (2, "ValueError")
+
+
 def test_born_basic_values():
     zero = subspace_from_vectors(2, [[1, 0]])
     plus = subspace_from_vectors(2, [[1, 1]])

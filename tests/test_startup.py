@@ -1,7 +1,8 @@
 """What each command loads: `import qlprob.cli` loads no command's
 modules, `hilbert` alone loads numpy and loads qlprob's own modules
-first, and no command loads `dataclasses`.  Commands map their modules'
-exceptions to exit codes themselves, so the codes are pinned here."""
+first, and no command loads `dataclasses`.  main maps the commands'
+exceptions to exit codes by family, core.Refusal to 1 and malformed
+input to 2, so the families and the codes are pinned here."""
 
 import json
 import os
@@ -9,8 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qlprob import hilbert, states
+from qlprob import funceq, hilbert, states
 from qlprob.cli import main
+from qlprob.core import CapExceeded, LatticeError, Refusal
 from tests.conftest import DATA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,3 +146,25 @@ def test_not_a_state_exits_1(capsys, tmp_path, monkeypatch):
     code, doc = run(capsys, "hilbert", seeds, "--scan", "subadd")
     assert (code, doc["kind"]) == (1, "NotAState")
     assert doc["error"] == "valuation fails the state constraints"
+
+
+def test_exit_1_exceptions_are_refusals_and_exit_2_ones_value_errors():
+    refusals = (CapExceeded, states.Infeasible, states.NotAState, hilbert.NumericalBreakdown,
+                funceq.DomainEscape, funceq.TooManySkips)
+    assert all(issubclass(cls, Refusal) for cls in refusals)
+    assert issubclass(CapExceeded, LatticeError)
+    assert all(issubclass(cls, ValueError) and not issubclass(cls, Refusal)
+               for cls in (states.DomainMismatch, hilbert.DimensionMismatch))
+    assert not issubclass(funceq.NotRegraduable, Refusal)  # cox reports it as a verdict
+
+
+def test_main_maps_any_refusal_to_1(capsys, monkeypatch):
+    class Unanswerable(Refusal):
+        pass
+
+    def refuse(ortho):
+        raise Unanswerable("no answer")
+
+    monkeypatch.setattr(states, "find_state", refuse)
+    code, doc = run(capsys, "states", "l12", "find")
+    assert (code, doc) == (1, {"schema": 1, "error": "no answer", "kind": "Unanswerable"})

@@ -36,7 +36,9 @@ from qlprob.states import (
     subadditivity_scan,
     valuation_from_document,
 )
-from tests.conftest import DATA, greechie_text, petersen_blocks, two_plane_seeds
+from tests.conftest import (
+    DATA, d2_seed_subspaces, d3_seed_subspaces, greechie_text, petersen_blocks, two_plane_seeds,
+)
 
 F = Fraction
 D3_SEEDS = DATA.parents[2] / "scripts" / "cli_jobs" / "d3.json"
@@ -633,3 +635,72 @@ def test_valuation_from_document_round_trip(l12):
     entries = tuple(quarter(l12).as_dict().items())
     v = valuation_from_document(l12, entries)
     assert is_state(l12, v).passed
+
+
+def test_nan_values_are_out_of_range(l12):
+    """Every bound test is false for a NaN, so the range test is written
+    as containment: an all-NaN valuation fails at every element."""
+    report = is_state(l12, Valuation(l12, (float("nan"),) * l12.n))
+    assert not report.passed
+    assert [v.elements for v in report.violations if v.kind == "range"] == [(e,) for e in l12.names]
+
+
+def _reference_scans(ortho, valuation, tolerance):
+    """(inclusion-exclusion hits, subadditivity hits) from the two loops
+    the scans ran before they shared one walk, each behind its own check."""
+    tolerance = states._tolerance(valuation, tolerance)
+    report = is_state(ortho, valuation, tolerance)
+    if not report.passed:
+        raise NotAState(report)
+    values, ie, subadd = valuation.values, [], []
+    for a in range(ortho.n):
+        for b in range(a + 1, ortho.n):
+            meet = ortho.meet(a, b)
+            join = ortho.join(a, b)
+            defect = values[a] + values[b] - values[meet] - values[join]
+            if abs(defect) > tolerance:
+                rebuilt = ortho.join(meet, ortho.meet(a, ortho.neg[b]))
+                ie.append(states.PairDefect((ortho.names[a], ortho.names[b]), defect, rebuilt != a))
+            defect = values[ortho.join(a, b)] - values[a] - values[b]
+            if defect > tolerance:
+                subadd.append(states.PairDefect((ortho.names[a], ortho.names[b]), defect))
+    return ie, subadd
+
+
+def _scan_cases():
+    """Exact vertices and a sampled state of l12 and mo2, the sampled
+    state as floats, and Born valuations on the d2 and d3 closures."""
+    cases = []
+    for ortho in (builders.firefly_l12(), builders.mo(2)):
+        sampled = sample_states(ortho, 1, seed=5)[0]
+        cases += [(ortho, v) for v in extreme_states(ortho)]
+        cases += [(ortho, sampled), (ortho, Valuation(ortho, tuple(map(float, sampled.values))))]
+    rng = np.random.default_rng(9)
+    for seeds in (d2_seed_subspaces(), d3_seed_subspaces()):
+        ortho, embedding = hilbert.generate_sublattice(seeds)
+        for rho in (hilbert.max_mixed(seeds[0].d), hilbert.random_density(seeds[0].d, rng)):
+            cases.append((ortho, hilbert.born_valuation(rho, ortho, embedding)))
+    return cases
+
+
+def _fields(hits):
+    return [(h.pair, repr(h.defect), type(h.defect), h.strict_decomposition) for h in hits]
+
+
+@pytest.mark.parametrize("tolerance", [None, 0, 0.3])
+def test_pair_scans_match_the_two_loops_they_replaced(tolerance):
+    """Field for field and bit for bit, or NotAState from both; both
+    scans find exact and float hits."""
+    seen = set()
+    for ortho, valuation in _scan_cases():
+        try:
+            ie, subadd = _reference_scans(ortho, valuation, tolerance)
+        except NotAState:
+            for scan in (inclusion_exclusion_scan, subadditivity_scan):
+                with pytest.raises(NotAState):
+                    scan(ortho, valuation, tolerance)
+            continue
+        assert _fields(inclusion_exclusion_scan(ortho, valuation, tolerance)) == _fields(ie)
+        assert _fields(subadditivity_scan(ortho, valuation, tolerance)) == _fields(subadd)
+        seen |= {("ie", type(h.defect)) for h in ie} | {("subadd", type(h.defect)) for h in subadd}
+    assert seen == {(kind, t) for kind in ("ie", "subadd") for t in (Fraction, float)}
