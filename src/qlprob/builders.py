@@ -10,7 +10,6 @@ from .core import (
     CapExceeded,
     Lattice,
     OrthoLattice,
-    Poset,
     _rows,
     attach_ortho,
     build_poset,
@@ -47,7 +46,6 @@ def powerset(n: int) -> OrthoLattice:
         half = 1 << k
         up = [u | u << half for u in up] + [u << half for u in up]
         down = down + [d | d << half for d in down]
-    poset = Poset(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1)
     # a * ones puts a in every 4-byte entry; a < 2 ** 12, so nothing carries
     entries = int.from_bytes(array("i", range(size)).tobytes(), sys.byteorder)
     ones = int.from_bytes(array("i", [1]).tobytes() * size, sys.byteorder)
@@ -55,7 +53,8 @@ def powerset(n: int) -> OrthoLattice:
     for a in range(size):
         meet.frombytes((entries & a * ones).to_bytes(4 * size, sys.byteorder))
         join.frombytes((entries | a * ones).to_bytes(4 * size, sys.byteorder))
-    lat = Lattice(poset=poset, meet_table=_rows(meet, size), join_table=_rows(join, size))
+    lat = Lattice(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1,
+                  meet_table=_rows(meet, size), join_table=_rows(join, size))
     full = size - 1
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
 

@@ -47,10 +47,10 @@ def _join_primes(lattice: Lattice) -> bool:
     finite lattice is distributive iff this holds (Davey & Priestley
     2002).  Over the extension, that set has a greatest element iff its
     highest member has the whole set as its down-set."""
-    order, down, up = lattice.poset.extension
+    order, down, up = lattice.extension
     everything = (1 << lattice.n) - 1
     return all(down[order[(s := everything ^ up[j]).bit_length() - 1]] == s
-               for j in _join_irreducibles(lattice.poset))
+               for j in _join_irreducibles(lattice))
 
 
 def check_distributive(lattice: Lattice) -> Witness | None:
@@ -68,7 +68,7 @@ def check_distributive(lattice: Lattice) -> Witness | None:
         lhs, rhs = list(map(mx.__getitem__, J[y])), list(map(J[mx[y]].__getitem__, mx))
         return None if lhs == rhs else next(z for z, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
 
-    irreducible = _join_irreducibles(lattice.poset)
+    irreducible = _join_irreducibles(lattice)
     for x in range(lattice.n):
         mx = M[x].tolist()
         if any(first_z(mx, j) is not None for j in irreducible):
@@ -83,7 +83,7 @@ def _semimodular(lattice: Lattice) -> bool:
     lattice of finite length is modular iff it is both (Birkhoff 1967;
     Stern 1999)."""
     upper, lower = [0] * lattice.n, [0] * lattice.n   # cover bitmasks
-    for lo, hi in lattice.poset.covers:
+    for lo, hi in lattice.covers:
         upper[lo] |= 1 << hi
         lower[hi] |= 1 << lo
     for table, near in ((lattice.join_table, upper), (lattice.meet_table, lower)):
@@ -105,7 +105,7 @@ def check_modular(lattice: Lattice) -> Witness | None:
         return None
     M, J = lattice.meet_table, lattice.join_table
     for x in range(lattice.n):
-        jx, above = J[x], list(_bits(lattice.poset.up[x]))
+        jx, above = J[x], list(_bits(lattice.up[x]))
         for a, ma in enumerate(M):
             rhs = M[jx[a]]
             for b in above:
@@ -119,7 +119,7 @@ def check_orthomodular(ortho: OrthoLattice) -> Witness | None:
     M, J = ortho.meet_table, ortho.join_table
     for x in range(ortho.n):
         jx, mnx = J[x], M[ortho.neg[x]]
-        for b in _bits(ortho.poset.up[x]):
+        for b in _bits(ortho.up[x]):
             if jx[mnx[b]] != b:
                 return Witness("orthomodular", (x, b))
     return None
@@ -160,7 +160,7 @@ def iter_blocks(ortho: OrthoLattice):
     atoms = ortho.atoms
     # b is orthogonal to a iff b <= neg(a); filling each set in index order
     # keeps its layout, and so the pivot tie-break below, deterministic
-    down, mask = ortho.poset.down, ortho.atom_mask
+    down, mask = ortho.down, ortho.atom_mask
     adjacent = {a: set(_bits(down[ortho.neg[a]] & mask)) - {a} for a in atoms}
 
     def cliques(clique: list[int], cand: set[int], done: set[int]):

@@ -7,8 +7,9 @@ order.  Each poset caches one linear extension, index order when it is
 one, with its cones as bitmasks over positions (Ait-Kaci, Boyer, Lincoln
 & Nasr 1989).  Over it meets, joins and Hasse covers are each one bit
 test; meets and joins are memoised in tables of read-only 4-byte rows,
-table[a][b], so every later law check is a lookup.  A Lattice is built
-on a Poset, and an OrthoLattice is a Lattice with a verified negation.
+table[a][b], so every later law check is a lookup.  A Lattice is a
+Poset with its two tables, and an OrthoLattice is a Lattice with a
+verified negation.
 All types are immutable once built.
 """
 
@@ -284,35 +285,11 @@ def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:
     return next((a, b) for a in range(n) for b in _bits(up[a] ^ 1 << a) if up[b] >> a & 1)
 
 
-class Lattice(Record, eq=False):
+class Lattice(Poset, eq=False):
     """A poset with memoised meet and join tables, indexed table[a][b]."""
 
-    poset: Poset
     meet_table: tuple[memoryview, ...]  # read-only rows of 4-byte ints
     join_table: tuple[memoryview, ...]
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.poset.names
-
-    @property
-    def index(self) -> dict[str, int]:
-        return self.poset.index
-
-    @property
-    def bottom(self) -> int:
-        return self.poset.bottom
-
-    @property
-    def top(self) -> int:
-        return self.poset.top
-
-    def le(self, a: int, b: int) -> bool:
-        return self.poset.le(a, b)
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
@@ -323,7 +300,7 @@ class Lattice(Record, eq=False):
     @cached_property
     def atoms(self) -> tuple[int, ...]:
         """Elements covering bottom."""
-        down, bot = self.poset.down, self.bottom
+        down, bot = self.down, self.bottom
         return tuple(x for x in range(self.n) if x != bot and down[x] == 1 << bot | 1 << x)
 
     @cached_property
@@ -333,14 +310,14 @@ class Lattice(Record, eq=False):
 
     def is_atomic(self) -> bool:
         """Every nonzero element dominates an atom."""
-        return all(d & self.atom_mask for x, d in enumerate(self.poset.down) if x != self.bottom)
+        return all(d & self.atom_mask for x, d in enumerate(self.down) if x != self.bottom)
 
     def is_atomistic(self) -> bool:
         """Every element is the join of the atoms below it."""
         join = self.join_table
         for x in range(self.n):
             acc = self.bottom
-            for a in _bits(self.poset.down[x] & self.atom_mask):
+            for a in _bits(self.down[x] & self.atom_mask):
                 acc = join[acc][a]
             if acc != x and x != self.bottom:
                 return False
@@ -376,7 +353,15 @@ def lattice_check(poset: Poset) -> Lattice:
             raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
         for table, row in ((meet_t, array("i", meets)), (join_t, array("i", joins))):
             table[a * n + a:(a + 1) * n] = table[a * n + a::n] = row  # row a and column a
-    return Lattice(poset=poset, meet_table=_rows(meet_t, n), join_table=_rows(join_t, n))
+    return _extend(Lattice, poset, _rows(meet_t, n), _rows(join_t, n))
+
+
+def _extend(cls: type, record: Record, *fields) -> Record:
+    """A cls record of record's fields and then the given ones, keeping the
+    views record has cached, so none is computed twice."""
+    larger = cls(*map(record.__dict__.get, record._fields), *fields)
+    larger.__dict__.update(record.__dict__)
+    return larger
 
 
 def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -442,7 +427,7 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
     NotInvolutive, NotOrderReversing or ComplementLawFails with every
     violating instance of the first failing axiom.
     """
-    neg = _build_negation(lattice.poset, neg_pairs)
+    neg = _build_negation(lattice, neg_pairs)
     # neg is an order-reversing involution by now, so a ^ neg(a) = neg(a v neg(a)):
     # the meet law fails at exactly the elements where the join law does
     bad = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
@@ -450,10 +435,5 @@ def attach_ortho(lattice: Lattice, neg_pairs: Iterable[tuple]) -> OrthoLattice:
         witnesses = [(lattice.names[a], "a v neg(a) != top") for a in bad]
         witnesses += [(lattice.names[a], "a ^ neg(a) != bottom") for a in bad]
         raise ComplementLawFails(witnesses)
-    return OrthoLattice(
-        poset=lattice.poset,
-        meet_table=lattice.meet_table,
-        join_table=lattice.join_table,
-        neg=neg,
-    )
+    return _extend(OrthoLattice, lattice, neg)
 

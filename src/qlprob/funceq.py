@@ -156,8 +156,10 @@ def from_samples_binary(points) -> CoxFunction:
     xs = sorted({x for x, _, _ in points})
     ys = sorted({y for _, y, _ in points})
     table = {(x, y): v for x, y, v in points}
-    if len(table) != len(xs) * len(ys):
-        raise ValueError("samples must cover a full rectangular grid")
+    if len(xs) < 2 or len(ys) < 2:
+        raise ValueError("need samples at two or more distinct x and two or more distinct y")
+    if len(points) != len(xs) * len(ys) or len(table) != len(points):
+        raise ValueError("samples must cover a full rectangular grid, each point once")
     grid = [[table[(x, y)] for y in ys] for x in xs]
 
     def interp(x, y):
@@ -198,7 +200,7 @@ def check_involution(g: CoxFunction, tolerance: float = CHECK_TOLERANCE) -> Invo
             raise DomainEscape(x)
         residual = abs(g(gx) - x)
         identity_gap = max(identity_gap, abs(gx - x))
-        if residual > worst:
+        if worst == worst and not residual <= worst:   # the first NaN is the worst, and stays
             worst = residual
             worst_x = x
     return InvolutionReport(
@@ -253,7 +255,7 @@ def check_associativity(f: CoxFunction, grid_size: int = GRID_SIZE,
                     continue
                 evaluated += 1
                 residual = abs(lhs - rhs)
-                if residual > worst:
+                if worst == worst and not residual <= worst:   # as in check_involution
                     worst = residual
                     worst_triple = (x, y, z)
     if skipped > evaluated:

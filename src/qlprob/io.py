@@ -177,7 +177,7 @@ def lattice_from_document(doc: LatticeDocument) -> Lattice:
 def document_from_lattice(lattice: Lattice, name: str) -> LatticeDocument:
     """Extract the canonical document of a built lattice or ortholattice."""
     names = lattice.names
-    covers = tuple((names[a], names[b]) for a, b in lattice.poset.covers)
+    covers = tuple((names[a], names[b]) for a, b in lattice.covers)
     pairs = ()
     if isinstance(lattice, OrthoLattice):
         pairs = tuple((names[i], names[j]) for i, j in enumerate(lattice.neg) if i < j)
@@ -289,7 +289,7 @@ def to_dot(lattice: Lattice, name: str = "lattice") -> str:
     out = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=plaintext];']
     for el in lattice.names:
         out.append(f'  "{el}";')
-    for a, b in lattice.poset.covers:
+    for a, b in lattice.covers:
         out.append(f'  "{lattice.names[a]}" -> "{lattice.names[b]}";')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -199,7 +199,7 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
     rows = [("bottom", (bottom,), (plus[bottom],), _ZERO), ("top", (top,), (plus[top],), _ONE)]
     others = ((1 << ortho.n) - 1) ^ (1 << bottom)
     for a in _bits(others):
-        for b in _bits(ortho.poset.down[ortho.neg[a]] & (others >> a + 1 << a + 1)):
+        for b in _bits(ortho.down[ortho.neg[a]] & (others >> a + 1 << a + 1)):
             c = ortho.join_table[a][b]
             terms = ((plus[c], minus[a], minus[b]) if c < a else (plus[a], minus[c], plus[b])
                      if c < b else (plus[a], plus[b], minus[c]))

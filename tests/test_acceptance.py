@@ -147,7 +147,7 @@ def test_criterion_5_axiom_ladder():
         assert n5_report.is_modular is False
         n5 = builders.n5()
         x, y, bound = n5_report.witnesses["modular"].elements
-        assert n5.poset.le(x, bound)
+        assert n5.le(x, bound)
         assert (n5.join(x, n5.meet(y, bound))
                 != n5.meet(n5.join(x, y), bound))
 

@@ -104,7 +104,7 @@ def reference_distributive(lattice):
 
 
 def reference_modular(lattice):
-    M, J, le = lattice.meet_table, lattice.join_table, lattice.poset.le
+    M, J, le = lattice.meet_table, lattice.join_table, lattice.le
     for x, a, b in product(range(lattice.n), repeat=3):
         if le(x, b) and J[x][M[a][b]] != M[J[x][a]][b]:
             return ("modular", (x, a, b))
@@ -271,7 +271,7 @@ def test_index_order_extensions_are_never_transposed(monkeypatch):
     for lattice in (builders.powerset(6), builders.mo(8),
                     lattice_from_document(parse_lattice((DATA / "petersen.lat").read_text()))):
         classify(lattice)
-        assert lattice.poset.extension[0] == range(lattice.n)
+        assert lattice.extension[0] == range(lattice.n)
     with pytest.raises(AssertionError, match="cones transposed"):
         lattice_check(build_poset(["c2", "c1", "c0"], [("c0", "c1"), ("c1", "c2")]))
 
@@ -496,7 +496,7 @@ def self_dual_sums(draw):
 def reference_complement_laws(lattice, pairs):
     """attach_ortho's negation, or its ComplementLawFails witnesses, from
     the separate join and meet scans it ran before one scan sufficed."""
-    neg = _build_negation(lattice.poset, pairs)
+    neg = _build_negation(lattice, pairs)
     bad_join = [a for a in range(lattice.n) if lattice.join(a, neg[a]) != lattice.top]
     bad_meet = [a for a in range(lattice.n) if lattice.meet(a, neg[a]) != lattice.bottom]
     if bad_join or bad_meet:

@@ -29,8 +29,8 @@ def _assert_set_algebra_rows(ps, rows):
     for a in rows:
         assert ps.meet_table[a].tolist() == [a & b for b in range(size)]
         assert ps.join_table[a].tolist() == [a | b for b in range(size)]
-        assert ps.poset.up[a] == sum(1 << c for c in range(size) if c & a == a)
-        assert ps.poset.down[a] == sum(1 << c for c in range(size) if c | a == a)
+        assert ps.up[a] == sum(1 << c for c in range(size) if c & a == a)
+        assert ps.down[a] == sum(1 << c for c in range(size) if c | a == a)
         assert ps.neg[a] == a ^ (size - 1)
 
 
@@ -87,7 +87,7 @@ def test_mo_shape(n):
 def test_n5_is_pentagon():
     n5 = builders.n5()
     assert n5.n == 5
-    idx = n5.poset.index
+    idx = n5.index
     assert n5.le(idx["a"], idx["c"])
     assert not n5.le(idx["a"], idx["b"]) and not n5.le(idx["b"], idx["a"])
     assert not n5.le(idx["b"], idx["c"]) and not n5.le(idx["c"], idx["b"])

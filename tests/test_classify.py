@@ -93,7 +93,7 @@ def test_witness_really_violates_modularity():
     witness = check_modular(n5)
     x, y, bound = witness.elements
     lattice = n5
-    assert lattice.poset.le(x, bound)
+    assert lattice.le(x, bound)
     lhs = lattice.join(x, lattice.meet(y, bound))
     rhs = lattice.meet(lattice.join(x, y), bound)
     assert lhs != rhs

@@ -455,6 +455,21 @@ def test_cox_rows_need_exactly_arity_plus_one_fields(capsys, tmp_path, rows, che
                    "error": f"line {line} of {path}: expected {want} fields, got {got}"}
 
 
+@pytest.mark.parametrize("rows, check, error", [
+    ("comments-only.csv", "regraduate", "two or more distinct x"),
+    ("one-row.csv", "assoc", "two or more distinct x"),
+    ("one-column.csv", "regraduate", "two or more distinct x"),
+    ("one-column.csv", "assoc", "two or more distinct x"),
+    ("repeated-point.csv", "regraduate", "each point once")])
+def test_cox_binary_samples_off_a_grid_are_refused(capsys, rows, check, error):
+    """Binary samples with no x or y extent, or with a point given twice,
+    as in the fixtures of scripts/cli_jobs/, give one ValueError document
+    and exit 2, not a traceback or a rule that keeps the last value."""
+    code, doc = run(capsys, "cox", str(SCRIPTS / "cli_jobs" / rows), check)
+    assert code == 2
+    assert doc["kind"] == "ValueError" and error in doc["error"] and doc.keys() == {"schema", "kind", "error"}
+
+
 # the optional flags each subcommand declares, each read by its cmd_* function
 OPTIONS = {"classify": {"--dot"}, "states": {"--cap"},
            "check": {"--tolerance", "--exact", "--float"},

@@ -16,6 +16,7 @@ from qlprob.core import (
     NotBounded,
     NotInvolutive,
     NotOrderReversing,
+    Poset,
     Record,
     attach_ortho,
     build_poset,
@@ -133,7 +134,7 @@ def test_bowtie_is_not_a_lattice():
 def test_meet_join_tables_agree_with_order(p3):
     lattice = p3
     n = lattice.n
-    le = lattice.poset.le
+    le = lattice.le
     for a in range(n):
         for b in range(n):
             m = lattice.meet(a, b)
@@ -253,11 +254,26 @@ def test_poset_without_a_join_is_not_a_lattice():
 
 def test_poset_leq_matrix_immutable(p3):
     with pytest.raises(TypeError):
-        p3.poset.up[0] = 1
+        p3.up[0] = 1
     with pytest.raises(TypeError):
-        p3.poset.down[0] = 1
+        p3.down[0] = 1
     with pytest.raises(FrozenInstanceError):
-        p3.poset.up = ()
+        p3.up = ()
+
+
+def test_a_lattice_is_its_poset(l12):
+    poset = build_poset(("0", "p", "q", "1"), (("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")))
+    views = poset.index, poset.extension, poset.covers
+    lattice = lattice_check(poset)
+    assert isinstance(lattice, Poset) and isinstance(l12, Poset) and isinstance(l12, Lattice)
+    assert [getattr(lattice, f) for f in Poset._fields] == [getattr(poset, f) for f in Poset._fields]
+    assert lattice.index is views[0] and lattice.extension is views[1] and lattice.covers is views[2]
+    atoms = lattice.atoms
+    ortho = attach_ortho(lattice, [("0", "1"), ("p", "q")])
+    assert ortho.atoms is atoms and ortho.covers is views[2] and ortho.meet_table is lattice.meet_table
+    for record in (lattice, ortho):
+        assert not hasattr(record, "poset")
+        assert not any(isinstance(v, property) for v in vars(type(record)).values())
 
 
 def test_lattice_tables_immutable(p3):
@@ -280,9 +296,10 @@ def _record_classes(base=Record):
 def _record_samples() -> dict:
     """One instance of every record class in the package, by class name."""
     mo2, l12 = builders.mo(2), builders.firefly_l12()
+    chain = build_poset(("0", "m", "1"), CHAIN3)
     state = states.find_state(mo2)
     samples = [
-        mo2.poset, lattice_check(mo2.poset), mo2,
+        chain, lattice_check(chain), mo2,
         io.LatticeDocument("chain", ("0", "1"), (("0", "1"),), ()),
         io.ValuationDocument("chain", (("0", 0), ("1", 1))),
         classify.classify(mo2),

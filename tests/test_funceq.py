@@ -222,6 +222,18 @@ def test_binary_samples_need_full_grid():
         from_samples_binary([(0, 0, 0), (1, 1, 1)])
 
 
+@pytest.mark.parametrize("points, error", [
+    ([], "two or more distinct x"),
+    ([(0, 0, 0)], "two or more distinct x"),
+    ([(0, 0, 0), (0, 1, 1)], "two or more distinct x"),
+    ([(0, 0, 0), (1, 0, 1)], "two or more distinct y"),
+    ([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 1, 2)], "each point once"),
+    ([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 0, 1)], "each point once")])
+def test_binary_samples_need_two_values_a_side_and_each_point_once(points, error):
+    with pytest.raises(ValueError, match=error):
+        from_samples_binary(points)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [0, 1])
 def test_unary_samples_must_be_finite(bad, where):
@@ -723,3 +735,18 @@ def test_regraduation_reads_the_grid_once(make, total):
     assert len(on_grid) == GRID_SIZE ** 2 + 2
     assert set(on_grid) == {(x, y) for x in grid for y in grid}
     assert on_grid.count(grid[:2]) == on_grid.count((grid[1], grid[1])) == 2
+
+
+def test_a_nan_residual_is_the_worst_and_stays():
+    """A NaN residual fails `residual > worst`; it read as a pass with the
+    largest finite residual before, and now fails with max_residual NaN."""
+    add = CoxFunction(arity=2, lo=0.0, hi=1.0, fn=lambda x, y: math.nan if x == y == 0.5 else x + y)
+    report = check_associativity(add, grid_size=9)
+    assert not report.passed and math.isnan(report.max_residual)
+    assert report.evaluated == 729 and report.skipped == 0
+    assert report.worst_triple == (0.0, 0.5, 0.5)   # the first, in grid order
+    # g(0) = 0.995 lies between grid points, where g is NaN: g(g(0)) is NaN
+    g = CoxFunction(arity=1, lo=0.0, hi=1.0,
+                    fn=lambda x: 0.995 if x == 0 else math.nan if 0.99 < x < 1 else 1 - x)
+    report = check_involution(g)
+    assert not report.passed and math.isnan(report.max_residual) and report.worst_x == 0.0

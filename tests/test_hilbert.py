@@ -293,11 +293,11 @@ def assert_closure_matches(seeds):
     ordered, leq, neg = reference_closure(seeds)
     assert len(embedding) == len(ordered)
     assert all(np.array_equal(s.basis, t.basis) for s, t in zip(embedding, ordered))
-    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert all(ortho.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
     assert ortho.neg == neg
     ordered, leq, neg = meet_join_closure(seeds)
     assert len(embedding) == len(ordered) and all(s.same(t) for s, t in zip(embedding, ordered))
-    assert all(ortho.poset.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
+    assert all(ortho.le(a, b) == leq[a, b] for a in range(ortho.n) for b in range(ortho.n))
     assert ortho.neg == neg
 
 

@@ -376,7 +376,7 @@ def test_emit_writes_the_reference_text(payload):
 def test_dot_output(p3):
     dot = to_dot(p3, "p3")
     assert dot.startswith('digraph "p3"')
-    assert dot.count("->") == len(p3.poset.covers)
+    assert dot.count("->") == len(p3.covers)
 
 
 name_strategy = st.text(
