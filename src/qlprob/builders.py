@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import sys
-from array import array
 from pathlib import Path
 
 from .core import (
     CapExceeded,
     Lattice,
     OrthoLattice,
-    _rows,
+    Table,
     attach_ortho,
     build_poset,
     lattice_check,
@@ -33,9 +31,9 @@ def powerset(n: int) -> OrthoLattice:
     Element index equals the subset bitmask.  The order is built by
     doubling: the subsets of k + 1 points are those of k points, then
     the same with point k + 1 added.  Meet and join are AND and OR of
-    the masks, so with every index packed into one int of 4-byte
-    entries, each table row is one int operation.  attach_ortho still
-    verifies the negation.
+    the masks, so the lattice is not checked, and each table row is
+    those masks, built on its first read.  attach_ortho still verifies
+    the negation.
     """
     if not 1 <= n <= 12:
         raise CapExceeded(f"powerset supports 1 <= n <= 12, got {n}")
@@ -46,15 +44,9 @@ def powerset(n: int) -> OrthoLattice:
         half = 1 << k
         up = [u | u << half for u in up] + [u << half for u in up]
         down = down + [d | d << half for d in down]
-    # a * ones puts a in every 4-byte entry; a < 2 ** 12, so nothing carries
-    entries = int.from_bytes(array("i", range(size)).tobytes(), sys.byteorder)
-    ones = int.from_bytes(array("i", [1]).tobytes() * size, sys.byteorder)
-    meet, join = array("i"), array("i")
-    for a in range(size):
-        meet.frombytes((entries & a * ones).to_bytes(4 * size, sys.byteorder))
-        join.frombytes((entries | a * ones).to_bytes(4 * size, sys.byteorder))
     lat = Lattice(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1,
-                  meet_table=_rows(meet, size), join_table=_rows(join, size))
+                  meet_table=Table(size, lambda a: map(a.__and__, range(size))),
+                  join_table=Table(size, lambda a: map(a.__or__, range(size))))
     full = size - 1
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
 

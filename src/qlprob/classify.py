@@ -1,16 +1,19 @@
 """Law checks along the axiom ladder, compatibility and block structure.
 
 The distributive and modular laws are first decided by tests that are
-not cubic: join-irreducibles are join-prime, and the covers are upper
-and lower semimodular.  Only when a test fails does an exhaustive scan
-over the memoised tables run, to report the first failing witness in
-index order, so results are deterministic however the loops are
-arranged.  The orthomodular law is one scan over comparable pairs.
+not cubic and read no table: join-irreducibles are join-prime, and the
+covers are upper and lower semimodular.  Only when a test fails does an
+exhaustive scan over the tables run, building the rows it reads, to
+report the first failing witness in index order, so results are
+deterministic however the loops are arranged.  The orthomodular law
+holds in a distributive lattice; otherwise it is one scan of bit tests
+over comparable pairs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .core import (
@@ -81,20 +84,16 @@ def _semimodular(lattice: Lattice) -> bool:
     """Upper and lower semimodularity on the covers: two distinct upper
     covers of an element are both covered by their join, and dually.  A
     lattice of finite length is modular iff it is both (Birkhoff 1967;
-    Stern 1999)."""
+    Stern 1999).  Two distinct upper covers a, b of an element satisfy
+    it iff they have a common upper cover c, for then c >= a v b > a,
+    so c = a v b: one AND of their upper-cover bitmasks; dually with
+    lower covers and meets."""
     upper, lower = [0] * lattice.n, [0] * lattice.n   # cover bitmasks
     for lo, hi in lattice.covers:
         upper[lo] |= 1 << hi
         lower[hi] |= 1 << lo
-    for table, near in ((lattice.join_table, upper), (lattice.meet_table, lower)):
-        for mask in near:
-            members = list(_bits(mask))
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    bound = table[a][b]   # a v b (a ^ b in the dual pass)
-                    if not near[a] >> bound & near[b] >> bound & 1:
-                        return False
-    return True
+    return all(near[a] & near[b] for near in (upper, lower)
+               for mask in near for a, b in combinations(_bits(mask), 2))
 
 
 def check_modular(lattice: Lattice) -> Witness | None:
@@ -115,12 +114,18 @@ def check_modular(lattice: Lattice) -> Witness | None:
 
 
 def check_orthomodular(ortho: OrthoLattice) -> Witness | None:
-    """Scan all pairs x <= b for x v (neg(x) ^ b) = b."""
-    M, J = ortho.meet_table, ortho.join_table
+    """Scan all pairs x <= b for x v (neg(x) ^ b) = b, the meet and the
+    join each one bit test over the extension.  A distributive lattice
+    keeps the law, x v (neg(x) ^ b) = (x v neg(x)) ^ (x v b) = b, so the
+    join-prime test runs first and the scan only when it fails."""
+    if _join_primes(ortho):
+        return None
+    order, down, up = ortho.extension
     for x in range(ortho.n):
-        jx, mnx = J[x], M[ortho.neg[x]]
+        ux, dnx = up[x], down[ortho.neg[x]]
         for b in _bits(ortho.up[x]):
-            if jx[mnx[b]] != b:
+            s = ux & up[order[(dnx & down[b]).bit_length() - 1]]
+            if order[(s ^ s - 1).bit_length() - 1] != b:
                 return Witness("orthomodular", (x, b))
     return None
 
@@ -223,7 +228,8 @@ def classify(lattice: Lattice) -> ClassificationReport:
     """Run the full axiom ladder on a built lattice or ortholattice."""
     ortho = lattice if isinstance(lattice, OrthoLattice) else None
 
-    w_dist, w_mod = check_distributive(lattice), check_modular(lattice)
+    w_dist = check_distributive(lattice)
+    w_mod = None if w_dist is None else check_modular(lattice)   # distributive implies modular
     w_omod = None if ortho is None else _orthomodular_witness(ortho)
     witnesses = {w.law: w for w in (w_dist, w_mod, w_omod) if w is not None}
     is_omod = None if ortho is None else w_omod is None

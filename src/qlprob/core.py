@@ -6,10 +6,11 @@ kept as up- and down-set bitmasks found in one pass in topological
 order.  Each poset caches one linear extension, index order when it is
 one, with its cones as bitmasks over positions (Ait-Kaci, Boyer, Lincoln
 & Nasr 1989).  Over it meets, joins and Hasse covers are each one bit
-test; meets and joins are memoised in tables of read-only 4-byte rows,
-table[a][b], so every later law check is a lookup.  A Lattice is a
-Poset with its two tables, and an OrthoLattice is a Lattice with a
-verified negation.
+test.  A lattice is verified on the pairs of covers of a common element
+alone, and its meet and join tables, table[a][b], hold read-only rows of
+2-byte ints, each built on its first read, so a law check pays only for
+the rows it reads.  A Lattice is a Poset with its two tables, and an
+OrthoLattice is a Lattice with a verified negation.
 All types are immutable once built.
 """
 
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
-# Two n x n tables of 4-byte entries and n^2 bitmask steps to fill them;
-# fine at desk scale, a hard cap keeps accidental blowups out.
+# Every index fits a 2-byte table entry, and a full n x n table, n^2 bit
+# tests, stays at desk scale; a hard cap keeps accidental blowups out.
 MAX_ELEMENTS = 4096
 
 
@@ -285,17 +287,53 @@ def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:
     return next((a, b) for a in range(n) for b in _bits(up[a] ^ 1 << a) if up[b] >> a & 1)
 
 
-class Lattice(Poset, eq=False):
-    """A poset with memoised meet and join tables, indexed table[a][b]."""
+class Table(dict):
+    """The rows table[a] of a binary operation on n elements, each a
+    read-only memoryview of 2-byte ints that row(a) lists, built on its
+    first read.  A built row is a dict entry, so table[a][b] costs two
+    container lookups.  len, iteration and == go by rows, as for a tuple
+    of rows, and a row cannot be assigned."""
 
-    meet_table: tuple[memoryview, ...]  # read-only rows of 4-byte ints
-    join_table: tuple[memoryview, ...]
+    __slots__ = ("n", "row")
+
+    def __init__(self, n: int, row):
+        self.n, self.row = n, row
+
+    def __missing__(self, a: int) -> memoryview:
+        if not 0 <= a < self.n:
+            raise IndexError(f"row {a} out of range")
+        view = memoryview(array("H", self.row(a))).toreadonly()
+        dict.__setitem__(self, a, view)
+        return view
+
+    def __setitem__(self, a, row):
+        raise TypeError("table rows cannot be assigned")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Table) else NotImplemented
+
+
+class Lattice(Poset, eq=False):
+    """A poset in which every pair has a meet and a join.  meet and join
+    are one bit test over the extension each; the tables hold the same
+    values, indexed table[a][b], a row built when first read."""
+
+    meet_table: Table
+    join_table: Table
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        order, down, _ = self.extension
+        return order[(down[a] & down[b]).bit_length() - 1]
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        order, _, up = self.extension
+        return order[((s := up[a] & up[b]) ^ s - 1).bit_length() - 1]
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -313,47 +351,79 @@ class Lattice(Poset, eq=False):
         return all(d & self.atom_mask for x, d in enumerate(self.down) if x != self.bottom)
 
     def is_atomistic(self) -> bool:
-        """Every element is the join of the atoms below it."""
-        join = self.join_table
-        for x in range(self.n):
-            acc = self.bottom
-            for a in _bits(self.down[x] & self.atom_mask):
-                acc = join[acc][a]
-            if acc != x and x != self.bottom:
+        """Every element is the join of the atoms below it: the common
+        upper bounds of those atoms are exactly the elements above it."""
+        up, everything = self.up, (1 << self.n) - 1
+        for x, d in enumerate(self.down):
+            common = everything
+            for a in _bits(d & self.atom_mask):
+                common &= up[a]
+            if common != up[x]:
                 return False
         return True
 
 
 def lattice_check(poset: Poset) -> Lattice:
-    """Verify every pair has a meet and a join; memoise the tables.
+    """Verify every pair has a meet and a join; the tables it returns
+    build each row on its first read.
 
-    Over the positions of Poset.extension, the highest common lower
-    bound of a pair is maximal among them, and it is the meet exactly
-    when its own down-set is all of them; dually the lowest common upper
-    bound is the join exactly when its up-set is all of them.  So each
-    entry is one bit test and one comparison.  Raises NotALattice at the
-    first failing pair in index order, carrying the incomparable bound
-    set as witnesses.
+    Over the positions of Poset.extension, the lowest common upper bound
+    of a pair is minimal among them, and it is the join exactly when its
+    up-set is all of them; dually for the highest common lower bound and
+    the meet.  So each pair is one bit test and one comparison.  Only
+    the pairs of upper covers of a common element are tested: in a
+    finite bounded poset, if each of them has a join, every pair has
+    one, and then every pair has a meet, the join of its common lower
+    bounds.  Proof: take a pair (a, b) with no join and, among all such
+    pairs, a common lower bound m with the fewest elements above it.
+    Take m < x <= a and m < y <= b with x and y covering m.  Then x != y,
+    or x would be a common lower bound with fewer elements above it, so
+    z = x v y exists.  By the choice of m, w = a v z exists (x is below
+    both), and then v = w v b (y is below both).  Every upper bound of a
+    and b lies above x and y, so above z, so above w, so above v; and v
+    is above a and b.  So v = a v b, a contradiction.
+
+    Only when a cover pair fails does the all-pairs scan run, to raise
+    NotALattice at the first failing pair in index order, carrying the
+    incomparable bound set as witnesses.
     """
-    n, names = poset.n, poset.names
     order, down, up = poset.extension
-    order = tuple(order)   # a tuple subscript is cheaper than a range's, n * n times
-    meet_t, join_t = array("i", [0]) * (n * n), array("i", [0]) * (n * n)
-    for a in range(n):
+    order = tuple(order)   # a tuple subscript is cheaper than a range's
+    upper = [[] for _ in range(poset.n)]   # up-sets of each element's upper covers
+    for lo, hi in poset.covers:
+        upper[lo].append(up[hi])
+    common = (u & v for cones in upper for u, v in combinations(cones, 2))
+    if not all(up[order[(s ^ s - 1).bit_length() - 1]] == s for s in common):
+        raise _first_unbounded_pair(poset)
+
+    def meets(a):
+        return [order[(down[a] & d).bit_length() - 1] for d in down]
+
+    def joins(a):
+        return [order[((s := up[a] & u) ^ s - 1).bit_length() - 1] for u in up]
+
+    return _extend(Lattice, poset, Table(poset.n, meets), Table(poset.n, joins))
+
+
+def _first_unbounded_pair(poset: Poset) -> NotALattice:
+    """NotALattice at the first pair (a, b), a <= b in index order, that
+    lacks a meet or a join: lattice_check's bit test and its dual, on
+    every pair."""
+    names = poset.names
+    order, down, up = poset.extension
+    order = tuple(order)
+    for a in range(poset.n):
         da, ua = down[a], up[a]
-        meets = [m if down[m := order[(s := da & d).bit_length() - 1]] == s else -1
-                 for d in down[a:]]
-        joins = [j if up[j := order[((s := ua & u) ^ s - 1).bit_length() - 1]] == s else -1
-                 for u in up[a:]]
-        if -1 in meets or -1 in joins:
-            b = a + next(i for i, pair in enumerate(zip(meets, joins)) if -1 in pair)
+        fails = [down[order[(s := da & d).bit_length() - 1]] != s
+                 or up[order[((t := ua & u) ^ t - 1).bit_length() - 1]] != t
+                 for d, u in zip(down[a:], up[a:])]
+        if True in fails:
+            b = a + fails.index(True)
             maximal = extremal(poset.down[a] & poset.down[b], poset.up)
             minimal = extremal(poset.up[a] & poset.up[b], poset.down)
             kind, found = ("meet", maximal) if len(maximal) != 1 else ("join", minimal)
-            raise NotALattice((names[a], names[b]), [names[m] for m in found], kind)
-        for table, row in ((meet_t, array("i", meets)), (join_t, array("i", joins))):
-            table[a * n + a:(a + 1) * n] = table[a * n + a::n] = row  # row a and column a
-    return _extend(Lattice, poset, _rows(meet_t, n), _rows(join_t, n))
+            return NotALattice((names[a], names[b]), [names[m] for m in found], kind)
+    raise AssertionError("a cover pair without a join, but every pair is bounded")
 
 
 def _extend(cls: type, record: Record, *fields) -> Record:
@@ -368,12 +438,6 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Bit matrix transpose: bit p of column c is bit c of rows[p]."""
     digits = [format(row, f"0{n}b") for row in reversed(rows)]
     return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
-
-
-def _rows(table: array, n: int) -> tuple[memoryview, ...]:
-    """Read-only views of the n rows of a flat n * n table."""
-    view = memoryview(table).toreadonly()
-    return tuple(view[a * n:(a + 1) * n] for a in range(n))
 
 
 def _resolve(poset: Poset, token) -> int:

@@ -290,6 +290,61 @@ def test_every_outcome_is_reached():
     assert outcomes == ["not a lattice", "distributive", "modular", "not modular"]
 
 
+def _not_a_lattice(names, covers):
+    """The poset and the NotALattice lattice_check raises on it, once
+    assert_agrees has matched the error with reference_tables."""
+    poset = build_poset(names, covers)
+    assert assert_agrees(poset) == "not a lattice"
+    with pytest.raises(NotALattice) as info:
+        lattice_check(poset)
+    return poset, info.value
+
+
+def _cover_a_common_element(poset, pair):
+    a, b = (poset.index[name] for name in pair)
+    return any((lo, a) in poset.covers and (lo, b) in poset.covers for lo in range(poset.n))
+
+
+def _has_join(poset, pair):
+    a, b = (poset.index[name] for name in pair)
+    return len(extremal(poset.up[a] & poset.up[b], poset.down)) == 1
+
+
+def test_the_first_failing_pair_need_not_cover_a_common_element():
+    """Only the cover pair (p, q) fails the join test, but the first pair
+    in index order without a bound is (x1, y): x1 covers x alone."""
+    poset, error = _not_a_lattice(
+        ["x1", "y", "0", "p", "q", "x", "1"],
+        [("0", "p"), ("0", "q"), ("p", "x"), ("q", "x"), ("p", "y"), ("q", "y"),
+         ("x", "x1"), ("x1", "1"), ("y", "1")])
+    assert (error.pair, error.kind, error.witnesses) == (("x1", "y"), "meet", ("p", "q"))
+    assert not _cover_a_common_element(poset, error.pair)
+    assert _cover_a_common_element(poset, ("p", "q")) and not _has_join(poset, ("p", "q"))
+
+
+def test_the_first_failing_pair_may_fail_its_meet_alone():
+    """The bowtie declared top first: the cover test finds the join of p
+    and q missing, and the report names the meet of x and y, which have
+    a join."""
+    poset, error = _not_a_lattice(
+        ["x", "y", "0", "p", "q", "1"],
+        [("0", "p"), ("0", "q"), ("p", "x"), ("p", "y"), ("q", "x"), ("q", "y"),
+         ("x", "1"), ("y", "1")])
+    assert (error.pair, error.kind, error.witnesses) == (("x", "y"), "meet", ("p", "q"))
+    assert _has_join(poset, error.pair)
+
+
+def test_one_cover_pair_without_a_join_among_many():
+    """The bottom has eight upper covers; of their 28 pairs only a5 and
+    a7, both below u and v, lack a join."""
+    atoms = [f"a{i}" for i in range(1, 9)]
+    covers = [("0", a) for a in atoms] + [("u", "1"), ("v", "1")]
+    covers += [(a, top) for a in atoms for top in (("u", "v") if a in ("a5", "a7") else ("1",))]
+    poset, error = _not_a_lattice(["0", *atoms, "u", "v", "1"], covers)
+    assert (error.pair, error.kind, error.witnesses) == (("a5", "a7"), "join", ("u", "v"))
+    assert sum(_has_join(poset, pair) for pair in combinations(atoms, 2)) == 27
+
+
 def reference_order(names, pairs):
     """The closure as build_poset computed it before: the dense matrix,
     closed with one outer product per element."""

@@ -17,7 +17,7 @@ from qlprob.classify import (
 )
 from qlprob.core import CapExceeded
 from qlprob.io import lattice_from_document, parse_lattice
-from tests.conftest import d3_seed_subspaces, greechie_text, petersen_blocks
+from tests.conftest import DATA, d3_seed_subspaces, greechie_text, petersen_blocks
 
 
 def ladder(report):
@@ -144,6 +144,36 @@ def test_blocks_are_boolean(build):
         # maximal: no element outside is compatible with every member
         outside = [e for e in range(ortho.n) if e not in sub]
         assert not any(all(C[e][b] for b in block) for e in outside)
+
+
+OML_CASES = {
+    **{f"mo{n}": partial(builders.mo, n) for n in range(1, 6)},
+    **{f"powerset{n}": partial(builders.powerset, n) for n in range(1, 6)},
+    "l12": builders.firefly_l12,
+    "petersen.lat": lambda: lattice_from_document(parse_lattice((DATA / "petersen.lat").read_text())),
+    **{f"petersen{''.join(map(str, v))}": partial(_greechie, petersen_blocks(v))
+       for v in ((0,), (0, 1), (0, 1, 2), (0, 5), (0, 1, 2, 3, 4), range(10))},
+}
+
+
+@pytest.mark.parametrize("build", OML_CASES.values(), ids=OML_CASES.keys())
+def test_an_oml_is_distributive_iff_it_is_one_block_iff_all_pairs_commute(build):
+    """Foulis-Holland (Kalmbach 1983): an OML is distributive iff it is
+    one block iff every two elements are compatible.  A finite OML is
+    atomistic, and a distributive lattice is modular, so the law checks
+    answer from theorems here, not from earlier code."""
+    ortho = build()
+    report = classify(ortho)
+    assert report.is_orthomodular and report.is_atomistic
+    one_block = len(report.blocks) == 1
+    commuting = all(all(row) for row in compatibility_matrix(ortho))
+    assert report.is_distributive == one_block == commuting == report.is_boolean
+    assert report.is_distributive <= (check_modular(ortho) is None)
+
+
+def test_the_oml_oracle_sees_both_answers():
+    answers = {classify(build()).is_distributive for build in OML_CASES.values()}
+    assert answers == {True, False}
 
 
 @settings(max_examples=60, deadline=None)

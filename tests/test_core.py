@@ -276,6 +276,33 @@ def test_a_lattice_is_its_poset(l12):
         assert not any(isinstance(v, property) for v in vars(type(record)).values())
 
 
+def _built_rows(lattice):
+    return sorted(lattice.meet_table.keys()), sorted(lattice.join_table.keys())
+
+
+def test_rows_are_built_when_first_read():
+    """lattice_check and classify build no table row on a Boolean lattice,
+    from the builder or from a .lat file with or without its negation;
+    reading a row builds that row alone, once, as 2-byte entries."""
+    document = io.document_from_lattice(builders.powerset(5), "b5")
+    plain = io.LatticeDocument(document.name, document.elements, document.covers, ())
+    for lattice in (builders.powerset(8), io.lattice_from_document(document),
+                    io.lattice_from_document(plain)):
+        assert _built_rows(lattice) == ([], [])
+        classify.classify(lattice)
+        assert _built_rows(lattice) == ([], [])
+    lattice = lattice_check(build_poset(("0", "p", "q", "1"),
+                                        (("0", "p"), ("0", "q"), ("p", "1"), ("q", "1"))))
+    assert _built_rows(lattice) == ([], [])
+    row = lattice.meet_table[2]
+    assert _built_rows(lattice) == ([2], []) and lattice.meet_table[2] is row
+    assert row.tolist() == [0, 0, 2, 2] and row.itemsize == 2 and row.readonly
+    assert lattice.join_table[1][2] == lattice.join(1, 2) == 3
+    assert _built_rows(lattice) == ([2], [1])
+    with pytest.raises(IndexError):
+        lattice.meet_table[4]
+
+
 def test_lattice_tables_immutable(p3):
     with pytest.raises(TypeError):
         p3.meet_table[0][0] = 5
