@@ -8,7 +8,6 @@ from .core import (
     CapExceeded,
     Lattice,
     OrthoLattice,
-    Table,
     attach_ortho,
     build_poset,
     lattice_check,
@@ -31,9 +30,8 @@ def powerset(n: int) -> OrthoLattice:
     Element index equals the subset bitmask.  The order is built by
     doubling: the subsets of k + 1 points are those of k points, then
     the same with point k + 1 added.  Meet and join are AND and OR of
-    the masks, so the lattice is not checked, and each table row is
-    those masks, built on its first read.  attach_ortho still verifies
-    the negation.
+    the masks, so the lattice is not checked; attach_ortho still
+    verifies the negation.
     """
     if not 1 <= n <= 12:
         raise CapExceeded(f"powerset supports 1 <= n <= 12, got {n}")
@@ -44,9 +42,7 @@ def powerset(n: int) -> OrthoLattice:
         half = 1 << k
         up = [u | u << half for u in up] + [u << half for u in up]
         down = down + [d | d << half for d in down]
-    lat = Lattice(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1,
-                  meet_table=Table(size, lambda a: map(a.__and__, range(size))),
-                  join_table=Table(size, lambda a: map(a.__or__, range(size))))
+    lat = Lattice(names=names, up=tuple(up), down=tuple(down), bottom=0, top=size - 1)
     full = size - 1
     return attach_ortho(lat, [(m, m ^ full) for m in range(size // 2)])
 

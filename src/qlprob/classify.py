@@ -1,18 +1,20 @@
 """Law checks along the axiom ladder, compatibility and block structure.
 
 The distributive and modular laws are first decided by tests that are
-not cubic and read no table: join-irreducibles are join-prime, and the
-covers are upper and lower semimodular.  Only when a test fails does an
-exhaustive scan over the tables run, building the rows it reads, to
-report the first failing witness in index order, so results are
-deterministic however the loops are arranged.  The orthomodular law
+not cubic and read no meet or join row: join-irreducibles are
+join-prime, and the covers are upper and lower semimodular.  Only when
+a test fails does an exhaustive scan run, over the rows that _rows
+builds when first read, to report the first failing witness in index
+order, so results are deterministic however the loops are arranged.
+Each scan skips the elements at which its law holds by the order
+alone, so it builds few rows.  The orthomodular law
 holds in a distributive lattice; otherwise it is one scan of bit tests
 over comparable pairs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -56,27 +58,37 @@ def _join_primes(lattice: Lattice) -> bool:
                for j in _join_irreducibles(lattice))
 
 
+def _rows(lattice: Lattice):
+    """M(a) and J(a), the meet and join rows of a as lists indexed by the
+    other operand, each built from Lattice.meet or join on its first
+    call and kept for as long as the caller keeps the pair: one scan."""
+    others = range(lattice.n)
+    return (cache(lambda a: [lattice.meet(a, b) for b in others]),
+            cache(lambda a: [lattice.join(a, b) for b in others]))
+
+
 def check_distributive(lattice: Lattice) -> Witness | None:
     """x^(yvz) = (x^y)v(x^z) for all triples.  In a lattice this law
     implies its dual (Davey & Priestley 2002), so one law decides.  The
     join-prime test decides it; only when that fails does the triple
     scan run, for the first witness in index order, and only in rows x
     where a join-irreducible y fails: x ^ - keeps every join once it keeps
-    those with join-irreducibles, and the law is symmetric in y and z."""
+    those with join-irreducibles, and the law is symmetric in y and z.
+    Each y >= x is skipped, for there both sides are x."""
     if _join_primes(lattice):
         return None
-    M, J = lattice.meet_table, lattice.join_table
+    M, J = _rows(lattice)
 
-    def first_z(mx, y):  # x ^ (y v z) against (x ^ y) v (x ^ z), by z
-        lhs, rhs = list(map(mx.__getitem__, J[y])), list(map(J[mx[y]].__getitem__, mx))
+    def first_z(x, y):  # x ^ (y v z) against (x ^ y) v (x ^ z), by z
+        mx = M(x)
+        lhs, rhs = list(map(mx.__getitem__, J(y))), list(map(J(mx[y]).__getitem__, mx))
         return None if lhs == rhs else next(z for z, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
 
-    irreducible = _join_irreducibles(lattice)
+    irreducible, up = _join_irreducibles(lattice), lattice.up
     for x in range(lattice.n):
-        mx = M[x].tolist()
-        if any(first_z(mx, j) is not None for j in irreducible):
-            y = next(y for y in range(lattice.n) if first_z(mx, y) is not None)
-            return Witness("distributive", (x, y, first_z(mx, y)))
+        if any(first_z(x, j) is not None for j in irreducible if not up[x] >> j & 1):
+            y = next(y for y in range(lattice.n) if not up[x] >> y & 1 and first_z(x, y) is not None)
+            return Witness("distributive", (x, y, first_z(x, y)))
     return None
 
 
@@ -99,14 +111,18 @@ def _semimodular(lattice: Lattice) -> bool:
 def check_modular(lattice: Lattice) -> Witness | None:
     """x v (a^b) = (x v a) ^ b for all (x, a, b) with x <= b.  The
     semimodularity test decides it; only when that fails does the scan
-    run, for the first witness in index order."""
+    run, for the first witness in index order, and only over a
+    incomparable to x: if a <= x, both sides are x, as a^b <= x <= b;
+    if x <= a, both sides are a^b, as x <= a^b."""
     if _semimodular(lattice):
         return None
-    M, J = lattice.meet_table, lattice.join_table
+    M, J = _rows(lattice)
+    up, down, everything = lattice.up, lattice.down, (1 << lattice.n) - 1
     for x in range(lattice.n):
-        jx, above = J[x], list(_bits(lattice.up[x]))
-        for a, ma in enumerate(M):
-            rhs = M[jx[a]]
+        above = list(_bits(up[x]))
+        for a in _bits(everything ^ (up[x] | down[x])):
+            jx, ma = J(x), M(a)
+            rhs = M(jx[a])
             for b in above:
                 if jx[ma[b]] != rhs[b]:            # x v (a ^ b) against (x v a) ^ b
                     return Witness("modular", (x, a, b))
@@ -145,9 +161,9 @@ def require_orthomodular(ortho: OrthoLattice) -> None:
 
 def compatibility_matrix(ortho: OrthoLattice) -> tuple[tuple[bool, ...], ...]:
     """C[a][b] true when a = (a^b) v (a^neg(b))."""
-    J, neg = ortho.join_table, ortho.neg
-    return tuple(tuple(J[ma[b]][ma[neg[b]]] == a for b in range(ortho.n))
-                 for a, ma in enumerate(ortho.meet_table))
+    meet, join, neg = ortho.meet, ortho.join, ortho.neg
+    return tuple(tuple(join(meet(a, b), meet(a, neg[b])) == a for b in range(ortho.n))
+                 for a in range(ortho.n))
 
 
 def iter_blocks(ortho: OrthoLattice):

@@ -7,22 +7,21 @@ order.  Each poset caches one linear extension, index order when it is
 one, with its cones as bitmasks over positions (Ait-Kaci, Boyer, Lincoln
 & Nasr 1989).  Over it meets, joins and Hasse covers are each one bit
 test.  A lattice is verified on the pairs of covers of a common element
-alone, and its meet and join tables, table[a][b], hold read-only rows of
-2-byte ints, each built on its first read, so a law check pays only for
-the rows it reads.  A Lattice is a Poset with its two tables, and an
-OrthoLattice is a Lattice with a verified negation.
+alone.  A Lattice is a verified Poset with no fields of its own: meet and
+join are the one way to read its operations, and a scan that reads a row
+of them many times keeps that row itself.  An OrthoLattice is a Lattice
+with a verified negation.
 All types are immutable once built.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-# Every index fits a 2-byte table entry, and a full n x n table, n^2 bit
-# tests, stays at desk scale; a hard cap keeps accidental blowups out.
+# A scan over all n^2 pairs, one bit test each, stays at desk scale; a
+# hard cap keeps accidental blowups out.
 MAX_ELEMENTS = 4096
 
 
@@ -287,45 +286,9 @@ def _first_cycle_pair(above: list[list[int]]) -> tuple[int, int]:
     return next((a, b) for a in range(n) for b in _bits(up[a] ^ 1 << a) if up[b] >> a & 1)
 
 
-class Table(dict):
-    """The rows table[a] of a binary operation on n elements, each a
-    read-only memoryview of 2-byte ints that row(a) lists, built on its
-    first read.  A built row is a dict entry, so table[a][b] costs two
-    container lookups.  len, iteration and == go by rows, as for a tuple
-    of rows, and a row cannot be assigned."""
-
-    __slots__ = ("n", "row")
-
-    def __init__(self, n: int, row):
-        self.n, self.row = n, row
-
-    def __missing__(self, a: int) -> memoryview:
-        if not 0 <= a < self.n:
-            raise IndexError(f"row {a} out of range")
-        view = memoryview(array("H", self.row(a))).toreadonly()
-        dict.__setitem__(self, a, view)
-        return view
-
-    def __setitem__(self, a, row):
-        raise TypeError("table rows cannot be assigned")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.n))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Table) else NotImplemented
-
-
 class Lattice(Poset, eq=False):
-    """A poset in which every pair has a meet and a join.  meet and join
-    are one bit test over the extension each; the tables hold the same
-    values, indexed table[a][b], a row built when first read."""
-
-    meet_table: Table
-    join_table: Table
+    """A poset in which every pair has a meet and a join, each one bit
+    test over the extension."""
 
     def meet(self, a: int, b: int) -> int:
         order, down, _ = self.extension
@@ -364,8 +327,7 @@ class Lattice(Poset, eq=False):
 
 
 def lattice_check(poset: Poset) -> Lattice:
-    """Verify every pair has a meet and a join; the tables it returns
-    build each row on its first read.
+    """Verify every pair has a meet and a join.
 
     Over the positions of Poset.extension, the lowest common upper bound
     of a pair is minimal among them, and it is the join exactly when its
@@ -387,7 +349,7 @@ def lattice_check(poset: Poset) -> Lattice:
     NotALattice at the first failing pair in index order, carrying the
     incomparable bound set as witnesses.
     """
-    order, down, up = poset.extension
+    order, _, up = poset.extension
     order = tuple(order)   # a tuple subscript is cheaper than a range's
     upper = [[] for _ in range(poset.n)]   # up-sets of each element's upper covers
     for lo, hi in poset.covers:
@@ -395,14 +357,7 @@ def lattice_check(poset: Poset) -> Lattice:
     common = (u & v for cones in upper for u, v in combinations(cones, 2))
     if not all(up[order[(s ^ s - 1).bit_length() - 1]] == s for s in common):
         raise _first_unbounded_pair(poset)
-
-    def meets(a):
-        return [order[(down[a] & d).bit_length() - 1] for d in down]
-
-    def joins(a):
-        return [order[((s := up[a] & u) ^ s - 1).bit_length() - 1] for u in up]
-
-    return _extend(Lattice, poset, Table(poset.n, meets), Table(poset.n, joins))
+    return _extend(Lattice, poset)
 
 
 def _first_unbounded_pair(poset: Poset) -> NotALattice:

@@ -200,7 +200,7 @@ def is_state(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> State
     others = ((1 << ortho.n) - 1) ^ (1 << bottom)
     for a in _bits(others):
         for b in _bits(ortho.down[ortho.neg[a]] & (others >> a + 1 << a + 1)):
-            c = ortho.join_table[a][b]
+            c = ortho.join(a, b)
             terms = ((plus[c], minus[a], minus[b]) if c < a else (plus[a], minus[c], plus[b])
                      if c < b else (plus[a], plus[b], minus[c]))
             rows.append(("additivity", (a, b), terms, _ZERO))
@@ -481,23 +481,23 @@ def inclusion_exclusion_scan(ortho: OrthoLattice, valuation: Valuation, toleranc
     """Pairs where s(a)+s(b) − s(a∧b) − s(a∨b) is nonzero beyond
     tolerance.  Each hit records whether (a∧b)∨(a∧¬b) sits strictly
     below a, the lattice-side mechanism behind the defect."""
-    meets, joins, neg = ortho.meet_table, ortho.join_table, ortho.neg
+    meet, join, neg = ortho.meet, ortho.join, ortho.neg
 
     def defect(values, a, b, tolerance):
-        meet = meets[a][b]
-        d = values[a] + values[b] - values[meet] - values[joins[a][b]]
+        m = meet(a, b)
+        d = values[a] + values[b] - values[m] - values[join(a, b)]
         if abs(d) > tolerance:
-            return d, joins[meet][meets[a][neg[b]]] != a
+            return d, join(m, meet(a, neg[b])) != a
 
     return _pair_scan(ortho, valuation, tolerance, defect)
 
 
 def subadditivity_scan(ortho: OrthoLattice, valuation: Valuation, tolerance=None) -> list[PairDefect]:
     """Pairs with s(a∨b) > s(a) + s(b) beyond tolerance."""
-    joins = ortho.join_table
+    join = ortho.join
 
     def defect(values, a, b, tolerance):
-        d = values[joins[a][b]] - values[a] - values[b]
+        d = values[join(a, b)] - values[a] - values[b]
         if d > tolerance:
             return (d,)
 

@@ -27,8 +27,8 @@ def _assert_set_algebra_rows(ps, rows):
     and the negation is the set complement, row by row."""
     size = ps.n
     for a in rows:
-        assert ps.meet_table[a].tolist() == [a & b for b in range(size)]
-        assert ps.join_table[a].tolist() == [a | b for b in range(size)]
+        assert [ps.meet(a, b) for b in range(size)] == [a & b for b in range(size)]
+        assert [ps.join(a, b) for b in range(size)] == [a | b for b in range(size)]
         assert ps.up[a] == sum(1 << c for c in range(size) if c & a == a)
         assert ps.down[a] == sum(1 << c for c in range(size) if c | a == a)
         assert ps.neg[a] == a ^ (size - 1)

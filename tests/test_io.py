@@ -66,7 +66,9 @@ def test_shipped_l12_matches_builder(l12):
     parsed = lattice_from_document(doc)
     assert parsed.names == l12.names
     assert parsed.neg == l12.neg
-    assert parsed.meet_table == l12.meet_table
+    pairs = [(a, b) for a in range(l12.n) for b in range(l12.n)]
+    assert [parsed.meet(a, b) for a, b in pairs] == [l12.meet(a, b) for a, b in pairs]
+    assert [parsed.join(a, b) for a, b in pairs] == [l12.join(a, b) for a, b in pairs]
 
 
 def test_parse_reports_line_numbers():

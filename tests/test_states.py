@@ -357,6 +357,20 @@ def test_inclusion_exclusion_on_mo2(mo2):
     assert defects == {("a1", "a2"): 1, ("~a1", "~a2"): -1}
 
 
+def test_every_defect_of_an_exact_state_has_a_strict_decomposition():
+    """A state is additive on a Boolean block, and a compatible pair, one
+    with (a^b) v (a^~b) = a, lies in one, where s(a) + s(b) = s(a^b) +
+    s(avb).  So each inclusion-exclusion hit of an exact state has a
+    strict decomposition, on every vertex and the barycenter."""
+    petersen = lattice_from_document(parse_lattice((DATA / "petersen.lat").read_text()))
+    hits = []
+    for ortho in (builders.firefly_l12(), builders.mo(3), petersen):
+        for state in extreme_states(ortho) + [find_state(ortho)]:
+            hits += inclusion_exclusion_scan(ortho, state, tolerance=0)
+    assert len(hits) > 1000
+    assert all(hit.strict_decomposition is True for hit in hits)
+
+
 def test_boolean_states_never_defect():
     ps = builders.powerset(4)
     for state in sample_states(ps, 25, seed=11):
