@@ -10,6 +10,12 @@ runs from the current directory, once under each tree, with PYTHONPATH
 set to that tree's src/.  Every job whose standard output or exit code
 differs is printed; the exit code is 1 if any job differs, else 0.
 
+An argument that holds a / and is not a pure: vector names a file: a
+script inside the new tree, any other from the current directory.  If
+one names no file, each such argument is printed and the exit code is 2,
+before any job runs: a job whose input is missing fails alike under both
+trees and would pass as unchanged.
+
 The project's job list is scripts/cli_jobs.txt; its header says how to
 write the generated inputs it reads and where to run it from.
 """
@@ -34,6 +40,16 @@ def run(tree: Path, args: list[str]) -> tuple[int, bytes]:
     return done.returncode, done.stdout
 
 
+def missing_files(jobs: list[str], tree: Path) -> list[str]:
+    missing = []
+    for args in map(shlex.split, jobs):
+        for k, arg in enumerate(args):
+            path = tree / arg if k == 0 and arg.endswith(".py") else Path(arg)
+            if "/" in arg and not arg.startswith("pure:") and not path.exists() and arg not in missing:
+                missing.append(arg)
+    return missing
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -41,6 +57,9 @@ def main(argv: list[str]) -> int:
     old, new = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     jobs = [line.strip() for line in Path(argv[2]).read_text().splitlines()]
     jobs = [job for job in jobs if job and not job.startswith("#")]
+    if missing := missing_files(jobs, new):
+        print("\n".join(f"no such file: {arg}" for arg in missing), file=sys.stderr)
+        return 2
     differing = 0
     for job in jobs:
         args = shlex.split(job)

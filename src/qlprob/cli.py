@@ -206,8 +206,7 @@ def _load_rho(spec: str, d: int, seed: int) -> hilbert.DensityMatrix:
 
 
 def cmd_hilbert(args) -> int:
-    from . import hilbert, states  # numpy loads with hilbert; no other command needs either
-    from .classify import classify
+    from . import classify, hilbert, states  # numpy loads with hilbert, for this command alone
     tolerance = args.tolerance if args.tolerance is not None else hilbert.EQUALITY_TOL
     scans = {"ie": states.inclusion_exclusion_scan, "subadd": states.subadditivity_scan}
     seeds = _load_seeds(args.seeds)
@@ -221,16 +220,16 @@ def cmd_hilbert(args) -> int:
     else:
         report = states.is_state(ortho, valuation, tolerance)
         state_check = {"passed": report.passed, "violations": len(report.violations)}
-    classification = classify(ortho)
+    distributive = classify.check_distributive(ortho) is None
     payload = {
         "dimension": d,
         "elements": len(embedding),
         "lattice": serialize_lattice(document_from_lattice(ortho, "generated")),
-        "classification": {
-            "is_orthomodular": classification.is_orthomodular,
-            "is_modular": classification.is_modular,
-            "is_distributive": classification.is_distributive,
-            "is_boolean": classification.is_boolean,
+        "classification": {  # is_state, alone or in the scan, passed require_orthomodular
+            "is_orthomodular": True,
+            "is_modular": distributive or classify.check_modular(ortho) is None,
+            "is_distributive": distributive,
+            "is_boolean": distributive,  # an ortholattice is Boolean iff it is distributive
         },
         "embedding": {
             name: {

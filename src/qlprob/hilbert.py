@@ -232,59 +232,64 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     meet too, then rebuild the result as a verified abstract ortholattice.
 
     Returns the lattice together with the element-indexed subspace
-    embedding.  Closure is breadth-first, and a candidate is kept unless
-    an element kept before it lies within EQUALITY_TOL.  A round adds the
-    complements of its frontier, then joins once each pair of elements
-    held before them with one in the frontier, PAIR_CHUNK pairs to a batch
-    of stacked SVDs; a batch's candidates meet the elements kept before it
-    in one array operation, each only those of its own rank, and the
-    survivors then meet those kept within it one by one.  Element order
+    embedding.  Closure is breadth-first.  0, 1, the seeds, complements
+    and joins all enter through one test, add: a candidate is kept unless
+    an element kept before it lies within EQUALITY_TOL, and either way add
+    names the element it is, so each complement is paired with its element
+    when it is made.  A round adds the complements of its frontier, then
+    joins once each pair of elements held before them with one in the
+    frontier, PAIR_CHUNK pairs to a batch of stacked SVDs.  Element order
     is by (dimension, projector entries), which keeps runs deterministic."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed subspace required")
     d = seeds[0].d
+    _check_dimension(d)
     for s in seeds:
         if s.d != d:
             raise DimensionMismatch(f"{s.d} vs {d}")
 
     elements: list[Subspace] = []
-    perps: list[Subspace] = []  # ortho_s(elements[i]), from the round element i is frontier
+    neg: list[int] = []  # neg[k]: the element ortho_s(elements[k]) is, from the round k is frontier
     store = np.zeros((16, 2, d, d), dtype=np.complex128)  # projector and zero-padded basis
 
-    def keep(s: Subspace):
+    def add(bases, ranks) -> list[int]:
+        """Keep each candidate, a zero-padded basis and its rank, in turn unless an
+        element lies within EQUALITY_TOL: first against the elements kept before the
+        batch, of its rank only, as ‖P − Q‖²_F ≥ |rk P − rk Q|; then, for the
+        survivors, those kept since.  Returns the element each candidate is or equals."""
         nonlocal store
-        if len(elements) == len(store):
-            store = np.concatenate([store, np.zeros_like(store)])
-        store[len(elements), 0], store[len(elements), 1, :, :s.dim] = s.projector(), s.basis
-        elements.append(s)
-
-    def add(projectors, ranks, build):
-        """Keep each candidate in turn unless an element lies within EQUALITY_TOL:
-        first against the elements kept before the batch, of its rank only, as
-        ‖P − Q‖²_F ≥ |rk P − rk Q|; then, for the survivors, those kept since."""
-        start, ranks, kept = len(elements), np.array(ranks), np.array([s.dim for s in elements])
-        fresh = np.ones(len(ranks), dtype=bool)
+        start, ranks, kept = len(elements), np.array(ranks, dtype=int), np.array([s.dim for s in elements])
+        projectors, found = bases @ bases.conj().transpose(0, 2, 1), np.full(len(ranks), -1)
         for r in set(ranks.tolist()):
-            rows, old = np.flatnonzero(ranks == r), store[np.flatnonzero(kept == r), 0]
-            gaps = np.linalg.norm((projectors[rows, None] - old).reshape(len(rows), len(old), d * d), axis=2)
-            fresh[rows] = ~(gaps < EQUALITY_TOL).any(axis=1)
-        for u in np.flatnonzero(fresh).tolist():
-            if _first_within(store[start:len(elements), 0], projectors[u]) is None:
-                keep(build(u))
-                if len(elements) > cap:
+            rows, old = np.flatnonzero(ranks == r), np.flatnonzero(kept == r)
+            gaps = np.linalg.norm((projectors[rows, None] - store[old, 0]).reshape(len(rows), len(old), d * d),
+                                  axis=2)
+            # each row's first hit, or else the sentinel column past the last, which reads -1
+            hits = np.c_[gaps < EQUALITY_TOL, np.ones(len(rows), dtype=bool)]
+            found[rows] = np.append(old, -1)[hits.argmax(axis=1)]
+        for u in np.flatnonzero(found < 0).tolist():
+            j = _first_within(store[start:len(elements), 0], projectors[u])
+            found[u] = len(elements) if j is None else start + j
+            if j is None:
+                if len(elements) == len(store):
+                    store = np.concatenate([store, np.zeros_like(store)])
+                elements.append(Subspace(d, bases[u, :, :ranks[u]].copy()))
+                store[found[u]] = elements[-1].projector(), bases[u]
+                if len(elements) > max(cap, 2):  # 0 and 1 are kept whatever the cap
                     raise CapExceeded(f"hilbert closure reached {len(elements)} subspaces, cap {cap}")
+        return found.tolist()
 
-    keep(null_subspace(d))
-    keep(full_subspace(d))
-    add(np.array([s.projector() for s in seeds]), [s.dim for s in seeds], seeds.__getitem__)
+    bases = np.zeros((len(seeds) + 2, d, d), dtype=np.complex128)  # 0, 1 and the seeds, zero-padded
+    bases[1] = np.eye(d)
+    for base, s in zip(bases[2:], seeds):
+        base[:, :s.dim] = s.basis
+    add(bases, [0, d] + [s.dim for s in seeds])
     # every round's frontier is the run of elements the round before added
     frontier = range(len(elements))
     while frontier:
         start, dims = len(elements), [s.dim for s in elements]
-        bases, ranks = _svd_bases(store[frontier.start:start, 1], dims[frontier.start:], complement=True)
-        perps += [Subspace(d, basis[:, :r].copy()) for basis, r in zip(bases, ranks)]
-        add(np.array([s.projector() for s in perps[frontier.start:]]), ranks, lambda u: perps[frontier[u]])
+        neg += add(*_svd_bases(store[frontier.start:start, 1], dims[frontier.start:], complement=True))
         pairs = ((i, j) for i in range(start) for j in range(max(i + 1, frontier.start), start))
         while chunk := list(islice(pairs, PAIR_CHUNK)):
             i, j = map(list, zip(*chunk))
@@ -292,8 +297,7 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
             # rank 0 is element 0; a rank-d basis passed the orthonormality test, so its
             # projector lies within d * ORTHONORMAL_TOL < EQUALITY_TOL of element 1
             live = [u for u, r in enumerate(ranks) if 0 < r < d]
-            add(bases[live] @ bases[live].conj().transpose(0, 2, 1), [ranks[u] for u in live],
-                lambda u: Subspace(d, bases[live[u], :, :ranks[live[u]]].copy()))
+            add(bases[live], [ranks[u] for u in live])
         frontier = range(start, len(elements))
 
     order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
@@ -314,13 +318,8 @@ def generate_sublattice(seeds, cap: int = 256) -> tuple[OrthoLattice, tuple[Subs
     if poset.up != tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq):
         raise NumericalBreakdown("subspace inclusion order is not transitive")
     lattice = lattice_check(poset)
-    pairs = []
-    for i, k in enumerate(order):
-        j = _first_within(projectors, perps[k].projector())
-        if j is None:
-            raise NumericalBreakdown(f"complement of element {names[i]} left the closure")
-        if i <= j:
-            pairs.append((names[i], names[j]))
+    at = np.argsort(order)  # at[k]: the place of element k in the canonical order
+    pairs = [(names[i], names[at[neg[k]]]) for i, k in enumerate(order) if i <= at[neg[k]]]
     ortho = attach_ortho(lattice, pairs)
     return ortho, tuple(ordered)
 

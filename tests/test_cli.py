@@ -5,6 +5,8 @@ import argparse
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,25 @@ def test_every_job_fixture_exists():
              if "/" in token and not token.startswith("inputs-7/")]
     assert len(paths) > 30
     assert [path for path in paths if not (root / path).exists()] == []
+
+
+def test_compare_cli_refuses_a_job_whose_input_is_missing(tmp_path):
+    """A job whose input file is missing fails alike under both trees and
+    would pass as unchanged, so compare_cli names each missing argument and
+    exits 2 before any job runs; a pure: vector holding a / names no file."""
+    root, jobs = SCRIPTS.parent, tmp_path / "jobs.txt"
+    (tmp_path / "seeds").mkdir()
+    (tmp_path / "seeds" / "d2.json").write_text("[[1, 0], [0.6, 0.8]]")
+
+    def compare(*lines):
+        jobs.write_text("\n".join(lines))
+        return subprocess.run([sys.executable, str(SCRIPTS / "compare_cli.py"), str(root), str(root), str(jobs)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    done = compare("hilbert seeds/d2.json --rho pure:(1/2,1)", "states mo:3 find")
+    assert (done.returncode, done.stdout) == (0, "2 jobs, 0 differ\n")
+    done = compare("classify inputs-7/ladder/bool6.lat", "states mo:3 find", "check l12 inputs-7/ladder/bool6.lat")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "no such file: inputs-7/ladder/bool6.lat\n")
 
 
 def test_classify_reports_a_poset_without_a_join(capsys):

@@ -58,6 +58,8 @@ def test_dimension_guard():
         subspace_from_vectors(9, [[0] * 9])
     with pytest.raises(DimensionMismatch):
         join_s(full_subspace(2), full_subspace(3))
+    with pytest.raises(DimensionMismatch):
+        generate_sublattice([Subspace(9, np.eye(9, dtype=np.complex128))])
 
 
 def test_complement_involution_and_rank():
@@ -195,10 +197,15 @@ def test_closure_is_deterministic():
 
 
 def test_closure_cap():
+    """0 and 1 are kept whatever the cap: a seed that is 1 closes under cap 1,
+    and the first seed kept past them stops it at the third element."""
     from qlprob.core import CapExceeded
 
     with pytest.raises(CapExceeded, match=r"^hilbert closure reached 10 subspaces, cap 9$"):
         generate_sublattice(d3_seed_subspaces(), cap=9)
+    with pytest.raises(CapExceeded, match=r"^hilbert closure reached 3 subspaces, cap 1$"):
+        generate_sublattice(d2_seed_subspaces(), cap=1)
+    assert generate_sublattice([full_subspace(2)], cap=1)[0].n == 2
 
 
 def test_basis_norm_tolerance():
@@ -323,6 +330,24 @@ def test_closure_joins_each_pair_once(monkeypatch):
     _, embedding = generate_sublattice(seeds)
     n = len(embedding)
     assert n == 64 and sum(matrices) == n * (n - 1) // 2 + n
+
+
+def test_closure_builds_one_subspace_per_element(monkeypatch):
+    """Every element enters the closure through one test, which builds a
+    Subspace only for a candidate it keeps, 0 and 1 included: the 64
+    elements of MO(3) x MO(3) cost 64 Gram checks, where building every
+    complement, duplicates too, cost 101."""
+    seeds = two_plane_seeds(3, RNG(64))
+    post_init, built = Subspace.__post_init__, []
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Subspace, "__post_init__", counted)
+    _, embedding = generate_sublattice(seeds)
+    assert (len(embedding), len(built)) == (64, 64)
+    assert sorted(map(id, built)) == sorted(map(id, embedding))
 
 
 def test_born_valuation_is_a_state_maxmixed(d2_lattice, d3_lattice):
